@@ -6,6 +6,7 @@ or the multinomial test show up here first (multi-round, statistically
 timed, unlike the single-shot experiment benches).
 """
 
+import numpy as np
 import pytest
 
 from repro.core.distributions import build_all_distributions, build_distributions
@@ -100,6 +101,22 @@ class TestStatsKernels:
         x = [3, 2, 1, 0]
 
         result = benchmark(lambda: exact_multinomial_test(pi, x))
+        assert 0.0 <= result.p_value <= 1.0
+
+    @pytest.mark.parametrize(
+        ("n", "k"),
+        [(4, 44), (3, 105), (2, 300), (1000, 2), (3, 4)],
+        ids=lambda v: str(v),
+    )
+    def test_exact_multinomial_shape_speed(self, benchmark, n, k):
+        """The widest exact shapes under the default 200k-outcome limit, a
+        long two-cell test and a tiny one (the common case per query)."""
+        rng = np.random.default_rng(n * 1000 + k)
+        pi = rng.dirichlet(np.ones(k))
+        x = rng.multinomial(n, pi)
+
+        result = benchmark(lambda: exact_multinomial_test(pi, x))
+        assert result.method == "exact"
         assert 0.0 <= result.p_value <= 1.0
 
     def test_montecarlo_multinomial_speed(self, benchmark):

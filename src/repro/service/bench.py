@@ -1377,9 +1377,9 @@ def _run_service_benchmark(
     # -- single-thread sequential baseline over the traffic trace ----------
     # The pre-service serving path: stateless, a fresh finder computes
     # every request (what `repro search` does per invocation). One warmup
-    # pass over the distinct queries fills process-level caches (compiled
-    # snapshot, multinomial outcome tables) so the comparison isolates
-    # the serving architecture, not cold-process effects.
+    # pass over the distinct queries fills process-level caches (the
+    # compiled snapshot) so the comparison isolates the serving
+    # architecture, not cold-process effects.
     def serve_stateless(requests: list[tuple[str, ...]]) -> None:
         """One fresh finder per request — the pre-service serving path."""
         for query in requests:

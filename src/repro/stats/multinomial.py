@@ -17,8 +17,8 @@ hypothesis of equality is rejected) and ``0`` otherwise.
 Paper cross-reference (Mottin et al., EDBT 2018):
 
 * **Section 3.2, the multinomial test** — :func:`multinomial_test`
-  (exact via full outcome enumeration, Monte-Carlo beyond
-  ``max_exact_n``, matching the paper's "in case of large N ... a
+  (exact over the full outcome space, Monte-Carlo beyond
+  ``max_exact_outcomes``, matching the paper's "in case of large N ... a
   Montecarlo sampling" note); ``pi`` is the normalized *context*
   distribution, ``x`` the *query* counts.
 * **The MT score** (``1 - Pr_s`` if significant at ``alpha``, else 0) —
@@ -29,16 +29,22 @@ Paper cross-reference (Mottin et al., EDBT 2018):
   :class:`repro.core.discrimination.MultinomialDiscriminator`, which
   runs this test on the instance and cardinality distribution pairs.
 
-The vectorized outcome enumeration (``compositions_array`` + one matmul
-log-pmf pass, PR 2) is a performance reformulation only: it scores the
-same outcome set as the paper's exact test.
+The exact test never materialises the outcome space. It splits the
+positive-probability cells into two halves; an outcome is one partial
+outcome per half whose masses sum to ``N``, and its log-probability is
+the sum of the two halves' partial log-weights. Each half enumerates its
+partial log-weights for every mass ``m <= N``; one half is sorted per
+mass and prefix-summed, and each partial outcome of the other half finds
+by binary search how many partners keep the outcome at most as likely as
+``x``. This is a reformulation only: it sums the same outcome set as
+enumerating every outcome (:func:`compositions_array`, the reference the
+tests compare against), in ``O(k)`` interpreted steps whose arrays hold
+the halves' partial outcomes instead of the outcome space.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +75,12 @@ class MultinomialTestResult:
 
     @property
     def significant(self) -> bool:
+        """Whether the hypothesis of equal distributions is rejected at ``alpha``."""
         return self.p_value <= self.alpha
 
     @property
     def score(self) -> float:
+        """The paper's ``MT`` statistic: ``1 - p_value`` if significant, else 0."""
         return 1.0 - self.p_value if self.significant else 0.0
 
 
@@ -128,9 +136,9 @@ def number_of_compositions(n: int, k: int) -> int:
 def _iter_compositions(n: int, k: int):
     """Yield all count vectors of length ``k`` summing to ``n`` (as lists).
 
-    The readable reference enumerator; :func:`compositions_array` is the
-    vectorized equivalent the exact test actually runs on (the parity
-    test in ``tests/test_stats_multinomial.py`` pins them to each other).
+    The readable reference enumerator; :func:`compositions_array` is its
+    vectorized equivalent (the parity test in
+    ``tests/test_stats_multinomial.py`` pins them to each other).
     """
     if k == 1:
         yield [n]
@@ -138,42 +146,6 @@ def _iter_compositions(n: int, k: int):
     for first in range(n + 1):
         for rest in _iter_compositions(n - first, k - 1):
             yield [first] + rest
-
-
-#: Rows per vectorized enumeration batch — bounds the exact test's
-#: transient memory at ~batch * k * 8 bytes per in-flight test (the query
-#: service runs several tests concurrently).
-_COMPOSITION_BATCH_ROWS = 32_768
-
-
-def _composition_batches(n: int, k: int, batch_rows: int = _COMPOSITION_BATCH_ROWS):
-    """Yield the compositions of ``n`` into ``k`` cells as ``(rows, k)`` matrices.
-
-    Stars and bars: each composition corresponds to a choice of ``k - 1``
-    bar positions among ``n + k - 1`` slots; ``itertools.combinations``
-    enumerates the choices at C speed and the gap widths between bars are
-    the counts. Rows appear in the same lexicographic order as
-    :func:`_iter_compositions`.
-    """
-    if n < 0 or k < 1:
-        raise StatisticsError(f"invalid composition parameters n={n}, k={k}")
-    if k == 1:
-        yield np.array([[n]], dtype=np.int64)
-        return
-    bars_iter = itertools.combinations(range(n + k - 1), k - 1)
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(bars_iter, batch_rows)),
-            dtype=np.int64,
-        )
-        if flat.size == 0:
-            return
-        bars = flat.reshape(-1, k - 1)
-        padded = np.empty((bars.shape[0], k + 1), dtype=np.int64)
-        padded[:, 0] = -1
-        padded[:, 1:-1] = bars
-        padded[:, -1] = n + k - 1
-        yield np.diff(padded, axis=1) - 1
 
 
 def compositions_array(n: int, k: int) -> np.ndarray:
@@ -184,8 +156,9 @@ def compositions_array(n: int, k: int) -> np.ndarray:
     from level ``j - 1``'s table for ``m - first``. Each block lands with
     one numpy slice copy, so the interpreter executes O(n * k) statements
     total instead of touching every one of the ``C(n + k - 1, k - 1) * k``
-    output elements (the cost profile of the tuple-based enumerators
-    above). Row order matches :func:`_iter_compositions` exactly.
+    output elements. Row order matches :func:`_iter_compositions` exactly.
+    The exact test does not use it; it is the enumeration the tests
+    check the exact test against.
     """
     if n < 0 or k < 1:
         raise StatisticsError(f"invalid composition parameters n={n}, k={k}")
@@ -207,92 +180,24 @@ def compositions_array(n: int, k: int) -> np.ndarray:
     return tables[-1]
 
 
-#: Outcome tables with more int64 elements than this are streamed in
-#: batches instead of materialized and cached (4M elements = 32 MB).
-_OUTCOME_TABLE_MAX_ELEMENTS = 4_000_000
-
-
-class _OutcomeTableCache:
-    """LRU cache of ``(compositions, row lgamma sums)`` per ``(n, k)``.
-
-    Both arrays depend only on ``(n, k)`` — not on ``pi`` — and the query
-    workload hits a handful of shapes over and over (``n`` = query
-    observations, ``k`` = support cells), so a long-running service
-    amortizes the interpreter-bound enumeration across requests; the
-    remaining per-call work (one matmul, one compare, one exp-sum) runs
-    in GIL-releasing numpy kernels, which is what lets the query engine's
-    thread pool scale. Eviction is *byte-budgeted* (total elements, not
-    entry count): many small tables or a few big ones, never an unbounded
-    aggregate. Arrays are published read-only because they are shared
-    across threads.
-    """
-
-    def __init__(self, budget_elements: int = 16_000_000) -> None:  # ~128 MB
-        self.budget_elements = budget_elements
-        self._entries: "dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]" = {}
-        self._elements = 0
-        self._lock = threading.Lock()
-
-    def get(self, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (n, k)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                # dicts preserve insertion order; re-insert = LRU refresh
-                del self._entries[key]
-                self._entries[key] = entry
-                return entry
-        outcomes = compositions_array(n, k)
-        lgamma_rows = _lgamma_rows(outcomes)
-        outcomes.setflags(write=False)
-        lgamma_rows.setflags(write=False)
-        entry = (outcomes, lgamma_rows)
-        with self._lock:
-            if key not in self._entries:  # racing builders: first one wins
-                self._entries[key] = entry
-                self._elements += outcomes.size
-                while self._elements > self.budget_elements and len(self._entries) > 1:
-                    old_key = next(iter(self._entries))
-                    old_outcomes, _ = self._entries.pop(old_key)
-                    self._elements -= old_outcomes.size
-            return self._entries[key]
-
-
-_outcome_tables = _OutcomeTableCache()
-
-
-def _cached_outcome_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    return _outcome_tables.get(n, k)
-
-
-def _log_pmf_rows(pi: np.ndarray, outcomes: np.ndarray, n: int) -> np.ndarray:
-    """Row-wise ``log Pr(X = outcome)`` for ``X ~ Mult(n, pi)``, ``pi > 0``.
-
-    One lgamma-table lookup plus a matmul per batch — the numpy work
-    releases the GIL, which is what lets the query service's thread pool
-    scale the discrimination phase across requests.
-    """
-    log_pi = np.log(pi)
-    return math.lgamma(n + 1) + outcomes @ log_pi - _lgamma_rows(outcomes)
-
-
 def exact_multinomial_test(
     pi: "np.ndarray | list[float]",
     x: "np.ndarray | list[int]",
     *,
     alpha: float = 0.05,
 ) -> MultinomialTestResult:
-    """Enumerate the full outcome space and sum probabilities ``<= Pr(x)``.
+    """Sum the probability of every outcome at most as likely as ``x``.
 
-    Cells with ``pi == 0`` are excluded from enumeration: any outcome
+    Cells with ``pi == 0`` are left out of the outcome space: any outcome
     placing counts there has probability zero and cannot contribute to
     ``Pr_s``. If the *observed* vector places counts on a zero cell,
     ``Pr(x) = 0`` and ``Pr_s = 0`` (maximal significance) — the "query
     exhibits a value the context never shows" case.
 
-    The outcome space is materialized as one matrix
-    (:func:`compositions_array`) and scored in a single vectorized
-    log-pmf pass instead of an interpreted per-outcome loop.
+    The outcome space is summed without materialising it: a
+    meet-in-the-middle over two halves of the cells (see the module
+    docstring) selects exactly the outcomes full enumeration would and
+    agrees with it to float rounding.
     """
     pi_arr, x_arr = _validate(np.asarray(pi), np.asarray(x))
     n = int(x_arr.sum())
@@ -307,25 +212,87 @@ def exact_multinomial_test(
 def _exact_validated(
     pi_arr: np.ndarray, x_arr: np.ndarray, n: int, alpha: float
 ) -> MultinomialTestResult:
-    """Exact-test core on pre-validated inputs (see :func:`multinomial_test`)."""
+    """Exact-test core on pre-validated inputs (see :func:`multinomial_test`).
+
+    ``log Pr(y) = lgamma(n + 1) + sum_i w_i(y_i)`` with the per-cell
+    log-weight ``w_i(c) = c log pi_i - lgamma(c + 1)``. Split the cells
+    into halves A and B: an outcome is a partial outcome ``a`` of A with
+    mass ``m`` and ``b`` of B with mass ``n - m``, and it is counted when
+    ``w_B(b) <= threshold - lgamma(n + 1) - w_A(a)``. B's partials are
+    sorted within each mass group and their exp-weights prefix-summed, each
+    normalised by its group's largest log-weight, so for every ``a`` one
+    binary search gives the count of partners and one lookup their summed
+    probability. Every exponent is at most 0: ``lgamma(n + 1) + w_A(a) +``
+    the group maximum is the log-probability of a real outcome.
+    """
     support = np.flatnonzero(pi_arr > 0)
     pi_pos = pi_arr[support]
-    x_pos = x_arr[support]
-    log_px = log_multinomial_pmf(pi_pos, x_pos)
-    threshold = log_px + LOG_TIE_TOLERANCE
-    k = int(pi_pos.size)
-    if number_of_compositions(n, k) * k <= _OUTCOME_TABLE_MAX_ELEMENTS:
-        outcomes, lgamma_rows = _cached_outcome_table(n, k)
-        log_py = math.lgamma(n + 1) + outcomes @ np.log(pi_pos) - lgamma_rows
-        selected = log_py[log_py <= threshold]
-        total = float(np.exp(selected).sum())
-    else:  # huge outcome space: stream batches, bounding transient memory
-        total = 0.0
-        for outcomes in _composition_batches(n, k):
-            log_py = _log_pmf_rows(pi_pos, outcomes, n)
-            selected = log_py[log_py <= threshold]
-            total += float(np.exp(selected).sum())
+    threshold = log_multinomial_pmf(pi_pos, x_arr[support]) + LOG_TIE_TOLERANCE
+    log_norm = math.lgamma(n + 1)
+    lgamma_table = np.array([math.lgamma(c + 1) for c in range(n + 1)])
+    weights = np.log(pi_pos)[:, None] * np.arange(n + 1) - lgamma_table
+    half = pi_pos.size // 2
+    values_a, sizes_a = _partial_log_weights(weights[:half], n)
+    values_b, sizes_b = _partial_log_weights(weights[half:], n)
+
+    # Sort B within each mass group by value, via an integer key: mass,
+    # then the value's rank among all of B's values.
+    mass_b = np.repeat(np.arange(n + 1), sizes_b)
+    by_value = np.sort(values_b)
+    stride = values_b.size + 1
+    keys = mass_b * stride + np.searchsorted(by_value, values_b, side="right")
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    values_b = values_b[order]
+    ends = np.cumsum(sizes_b)  # B has >= 1 cell, so no mass group is empty
+    starts = ends - sizes_b
+    top = values_b[ends - 1]
+    # prefix[g, c]: summed exp-weight of the c least likely partials of
+    # mass g, relative to the group's most likely one.
+    prefix = np.zeros((n + 1, int(sizes_b.max()) + 1))
+    prefix[mass_b, 1 + np.arange(values_b.size) - starts[mass_b]] = np.exp(
+        values_b - top[mass_b]
+    )
+    np.cumsum(prefix, axis=1, out=prefix)
+
+    partner = np.repeat(np.arange(n, -1, -1), sizes_a)  # B's mass for each a
+    cut = np.searchsorted(by_value, (threshold - log_norm) - values_a, side="right")
+    counts = np.searchsorted(keys, partner * stride + cut, side="right") - starts[partner]
+    total = float(
+        np.dot(np.exp(log_norm + values_a + top[partner]), prefix[partner, counts])
+    )
     return MultinomialTestResult(min(total, 1.0), alpha, n, pi_arr.size, "exact")
+
+
+def _partial_log_weights(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sum_i w_i(y_i)`` for every partial outcome ``y`` of mass ``<= n``.
+
+    ``weights[i, c]`` is cell ``i``'s log-weight for ``c`` units. Returns
+    the values grouped by mass, ascending, and each group's size. No cells
+    leave one partial outcome: the empty one, of mass 0. Adding a cell
+    builds group ``M`` as the old groups ``M - y`` each shifted by the new
+    cell's weight for ``y`` units, ``y = 0..M`` — one gather per cell, so
+    the interpreter runs ``O(cells)`` steps, each the size of its output.
+    """
+    if weights.shape[0] == 0:
+        sizes = np.zeros(n + 1, dtype=np.int64)
+        sizes[0] = 1
+        return np.zeros(1), sizes
+    values = weights[0]
+    sizes = np.ones(n + 1, dtype=np.int64)
+    if weights.shape[0] > 1:
+        # Every (M, y) segment with y <= M, by M then y.
+        mass, units = np.nonzero(np.arange(n + 1)[:, None] >= np.arange(n + 1))
+        source = mass - units
+    for row in weights[1:]:
+        ends = np.cumsum(sizes)
+        lengths = sizes[source]
+        out_ends = np.cumsum(lengths)
+        # Segment s copies old group source[s], which ends at ends[source[s]].
+        take = np.arange(out_ends[-1]) + np.repeat(ends[source] - out_ends, lengths)
+        values = values[take] + np.repeat(row[units], lengths)
+        sizes = ends
+    return values, sizes
 
 
 def montecarlo_multinomial_test(

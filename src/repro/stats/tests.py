@@ -28,6 +28,7 @@ class ClassicalTestResult:
 
     @property
     def assumptions_met(self) -> bool:
+        """Whether the large-sample approximation's assumptions all hold."""
         return not self.assumption_warnings
 
 

@@ -197,37 +197,112 @@ class TestVectorizedEnumeration:
         with pytest.raises(StatisticsError):
             compositions_array(3, 0)
 
-    def test_outcome_table_cache_reuses_arrays(self):
-        from repro.stats.multinomial import _cached_outcome_table
 
-        first = _cached_outcome_table(4, 3)
-        again = _cached_outcome_table(4, 3)
-        assert first[0] is again[0]
-        assert not first[0].flags.writeable  # shared across threads
+def _enumerated_test(pi, x, max_exact_outcomes=200_000):
+    """Reference exact test: score every outcome of ``compositions_array``.
 
-    def test_streamed_and_cached_paths_agree(self):
-        from repro.stats.multinomial import _composition_batches
+    Mirrors :func:`multinomial_test`'s dispatch, so the kernel under test
+    must also agree on ``method``.
+    """
+    from repro.stats.multinomial import _lgamma_rows, compositions_array
 
-        pi = np.array([0.1, 0.2, 0.3, 0.4])
-        x = np.array([3, 0, 1, 1])
-        expected = exact_multinomial_test(pi, x)
-        # force the streaming path by tiny batches
-        streamed = np.concatenate(list(_composition_batches(5, 4, batch_rows=7)))
-        from repro.stats.multinomial import compositions_array
+    pi = np.asarray(pi, dtype=np.float64)
+    x = np.asarray(x, dtype=np.int64)
+    n = int(x.sum())
+    positive = pi > 0
+    if n == 0:
+        return 1.0, "degenerate"
+    if (x[~positive] > 0).any():
+        return 0.0, "exact"
+    if number_of_compositions(n, int(positive.sum())) > max_exact_outcomes:
+        return None, "montecarlo"
+    outcomes = compositions_array(n, int(positive.sum()))
+    log_py = (
+        math.lgamma(n + 1) + outcomes @ np.log(pi[positive]) - _lgamma_rows(outcomes)
+    )
+    threshold = log_multinomial_pmf(pi[positive], x[positive]) + 1e-9
+    return min(float(np.exp(log_py[log_py <= threshold]).sum()), 1.0), "exact"
 
-        assert (streamed == compositions_array(5, 4)).all()
-        assert expected.method == "exact"
 
-    def test_outcome_table_cache_respects_budget(self):
-        from repro.stats.multinomial import _OutcomeTableCache
+def _skewed(k, n, seed):
+    """A random ``pi`` over ``k`` cells and ``n`` counts drawn away from it."""
+    rng = np.random.default_rng(seed)
+    pi = rng.dirichlet(np.full(k, 0.7))
+    return pi, rng.multinomial(n, rng.dirichlet(np.ones(k)))
 
-        cache = _OutcomeTableCache(budget_elements=200)
-        first = cache.get(4, 3)  # 15 rows x 3 = 45 elements
-        assert cache.get(4, 3)[0] is first[0]
-        cache.get(5, 3)  # 21 x 3 = 63
-        cache.get(6, 3)  # 28 x 3 = 84
-        cache.get(7, 3)  # 36 x 3 = 108 -> budget exceeded, LRU evicted
-        assert cache._elements <= 200 or len(cache._entries) == 1
-        # evicted entry is rebuilt as a fresh (but equal) array
-        rebuilt = cache.get(4, 3)
-        assert (rebuilt[0] == first[0]).all()
+
+def _ties(k, n, seed):
+    """Uniform ``pi`` (every permutation of an outcome ties) and a shuffled ``x``."""
+    rng = np.random.default_rng(seed)
+    x = rng.permutation(np.bincount(rng.integers(0, max(k // 2, 1), n), minlength=k))
+    return np.full(k, 1.0 / k), x
+
+
+def _zero_cells(k, n, seed):
+    """``pi`` with zero cells; ``x`` puts one observation on a zero cell."""
+    pi, x = _skewed(k, n, seed)
+    pi[::3] = 0.0
+    x[0] += 1
+    return pi / pi.sum(), x
+
+
+def _zero_cells_unobserved(k, n, seed):
+    """``pi`` with zero cells that ``x`` leaves empty."""
+    pi, x = _skewed(k, n, seed)
+    pi[1::3] = 0.0
+    x[1::3] = 0
+    x[0] += 1
+    return pi / pi.sum(), x
+
+
+DIFFERENTIAL_CASES = {
+    "n3_k60": _skewed(60, 3, 1),
+    "n4_k30": _skewed(30, 4, 2),
+    "n2_k150": _skewed(150, 2, 3),
+    "n3_k4": _skewed(4, 3, 4),
+    "n9_k6": _skewed(6, 9, 5),
+    "n40_k3": _skewed(3, 40, 6),
+    "ties_n5_k8": _ties(8, 5, 7),
+    "ties_n4_k20": _ties(20, 4, 8),
+    "k1": (np.array([1.0]), np.array([7])),
+    "k1_padded": (np.array([0.0, 1.0, 0.0]), np.array([0, 4, 0])),
+    "k2_n2000_near_mode": (np.array([0.3, 0.7]), np.array([650, 1350])),
+    "k2_n2000_tail": (np.array([0.3, 0.7]), np.array([700, 1300])),
+    "k2_n2000_fair": (np.array([0.5, 0.5]), np.array([1040, 960])),
+    "observed_zero_cell": _zero_cells(9, 4, 9),
+    "unobserved_zero_cells": _zero_cells_unobserved(12, 4, 10),
+}
+
+
+class TestDifferentialKernel:
+    """The exact kernel against full enumeration of the outcome space."""
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+    def test_matches_enumeration(self, name):
+        pi, x = DIFFERENTIAL_CASES[name]
+        expected, method = _enumerated_test(pi, x)
+        result = multinomial_test(pi, x)
+        assert result.method == method
+        if expected == 0.0:
+            assert result.p_value == 0.0
+        else:
+            assert abs(result.p_value - expected) <= 1e-12 * expected, (
+                result.p_value, expected)
+
+    def test_permuted_ties_give_one_p_value(self):
+        pi, x = _ties(10, 6, 11)
+        rng = np.random.default_rng(12)
+        p_values = {exact_multinomial_test(pi, rng.permutation(x)).p_value for _ in range(5)}
+        expected, _ = _enumerated_test(pi, x)
+        assert max(abs(p - expected) for p in p_values) <= 1e-12 * expected
+
+    def test_random_small_shapes(self):
+        rng = np.random.default_rng(13)
+        for _ in range(150):
+            k = int(rng.integers(1, 9))
+            pi = rng.dirichlet(np.full(k, rng.choice([0.3, 1.0, 5.0])))
+            x = rng.multinomial(int(rng.integers(1, 10)), rng.dirichlet(np.ones(k)))
+            expected, method = _enumerated_test(pi, x)
+            result = exact_multinomial_test(pi, x)
+            assert result.method == method
+            assert abs(result.p_value - expected) <= 1e-12 * expected, (pi, x)

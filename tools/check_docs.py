@@ -57,6 +57,7 @@ DEFAULT_DOCSTRING_PACKAGES = (
     "src/repro/disk",
     "src/repro/core",
     "src/repro/graph",
+    "src/repro/stats",
 )
 
 #: Inline markdown links: [text](target). Images share the syntax with a

@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.graph.model import KnowledgeGraph, NodeRef
 from repro.stats.histograms import align_count_maps
-from repro.walk import kernels
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.graph.compiled import CompiledGraph
@@ -245,11 +244,11 @@ class _SweepCounts:
         # Instance channel: occurrences per (label, target) pair.
         node_count = max(compiled.node_count, 1)
         inst_key = labels * node_count + targets
-        inst_unique, inst_counts = kernels.unique_counts(inst_key)
+        inst_unique, inst_counts = np.unique(inst_key, return_counts=True)
         # Cardinality channel: degree of each (member, label) pair.
         width = max(compiled.label_count, 1)
         pair_key = owners * width + labels
-        pair_unique, pair_degree = kernels.unique_counts(pair_key)
+        pair_unique, pair_degree = np.unique(pair_key, return_counts=True)
         self._fill(
             len(members),
             compiled.label_count,
@@ -289,7 +288,7 @@ class _SweepCounts:
         # Degrees histogrammed into member counts per (label, degree).
         degree_width = int(pair_degree.max()) + 1 if pair_degree.size else 1
         card_key = pair_label * degree_width + pair_degree
-        card_unique, self.card_counts = kernels.unique_counts(card_key)
+        card_unique, self.card_counts = np.unique(card_key, return_counts=True)
         self.card_labels = card_unique // degree_width
         self.card_degrees = card_unique - self.card_labels * degree_width
 
@@ -335,7 +334,7 @@ def sweep_counts_many(
 
     The micro-batch worker path calls this with every batch member's query
     and context sets at once: one ``gather_rows`` and one keyed
-    ``unique_counts`` per channel replace the per-member pairs, amortising
+    ``np.unique`` per channel replace the per-member pairs, amortising
     the fixed sort/gather overhead across the batch. Each set's keys are
     offset into a disjoint range (``set_index * span``) so one sorted
     unique pass yields every member's slice; subtracting the offset
@@ -371,7 +370,7 @@ def sweep_counts_many(
     # contiguous runs, sorted by the same inner key _SweepCounts uses.
     span = width * node_count
     key = owners * span + labels * node_count + targets
-    key_unique, key_counts = kernels.unique_counts(key)
+    key_unique, key_counts = np.unique(key, return_counts=True)
     key_owner = key_unique // span
     inner_unique = key_unique - key_owner * span
     bounds = np.arange(distinct.shape[0] + 1, dtype=np.int64)

@@ -304,6 +304,23 @@ class FindNC:
             out.append(label)
         return out
 
+    def candidate_label_mask(self, snapshot: "CompiledGraph") -> np.ndarray:
+        """Boolean mask over ``snapshot``'s label ids admitting exactly the
+        labels :meth:`_filter_candidates` keeps.
+
+        The batch sweep (:func:`~repro.core.distributions.sweep_counts_many`)
+        drops the other labels' edge rows up front — excluded and inverse
+        labels are often most of the adjacency — and :meth:`run` derives
+        from the masked counters the same candidate list an unmasked
+        enumeration plus filtering would produce.
+        """
+        table = self._graph._label_table()  # noqa: SLF001 - label ids only grow
+        names = [table.name(label_id) for label_id in range(snapshot.label_count)]
+        admitted = set(self._filter_candidates(names))
+        mask = np.zeros(max(len(names), 1), dtype=bool)
+        mask[: len(names)] = [name in admitted for name in names]
+        return mask
+
     def run(
         self,
         query: Sequence[NodeRef],
@@ -330,10 +347,10 @@ class FindNC:
         ``sweep_cache`` hands the batch distribution builder counters
         precomputed by
         :func:`repro.core.distributions.sweep_counts_many` against the
-        same snapshot, keyed by node-id tuple (the micro-batch worker
-        sweeps every batch member's query and context sets in one fused
-        pass). Sets missing from the cache are swept normally, so a
-        cache miss costs only the amortisation, never correctness.
+        same snapshot, keyed by node-id tuple (the query service sweeps
+        every batch member's query and context sets in one fused pass).
+        Sets missing from the cache are swept normally, so a cache miss
+        costs only the amortisation, never correctness.
         """
         query_ids = self.resolve_query(query)
         k = context_size if context_size is not None else self.context_size

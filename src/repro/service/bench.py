@@ -1039,8 +1039,8 @@ def _bench_saturated_batch(
     multiply both arms alike.
 
     Results are asserted byte-identical between the arms (the engine's
-    differential guarantee; ``tests/test_batch_parity.py`` pins the
-    same property per kernel). The throughput ratio is the phase's
+    differential guarantee; ``tests/test_batch_parity.py`` pins each
+    batch member against ``FindNC.run`` alone). The throughput ratio is the phase's
     headline number; ``tools/bench_compare.py --saturated`` turns it
     into the PR's accept/reject verdict.
     """

@@ -49,9 +49,10 @@ The engine turns the library pipeline into a servable primitive:
 
 Determinism: each computation derives its RNG seed from the cache key, so
 identical requests produce identical results whether or not they hit the
-cache — and whichever backend executes them (the worker replicates this
-method's computation exactly; ``tests/test_service_workers.py`` pins
-thread/process parity).
+cache — and whichever backend executes them: both run
+:func:`~repro.service.workers.execute_batch`, the thread backend as a
+batch of one over the pin's own view and snapshot
+(``tests/test_service_workers.py`` pins thread/process parity).
 
 Cached :class:`~repro.core.findnc.FindNCResult` objects are shared across
 requests — treat them as read-only.
@@ -70,8 +71,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 
 from repro.core.context import RandomWalkContext
-from repro.core.discrimination import MultinomialDiscriminator
-from repro.core.findnc import FindNC, FindNCResult
+from repro.core.findnc import FindNCResult
 from repro.errors import DeadlineExceededError, EngineSaturatedError, QueryError
 from repro.graph.compiled import CompiledGraph
 from repro.graph.model import KnowledgeGraph, NodeRef
@@ -81,7 +81,13 @@ from repro.service import faults
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.tracing import Tracer, log_event
-from repro.service.workers import ProcessWorkerPool, WorkerConfig, WorkerCrashError
+from repro.service.workers import (
+    ProcessWorkerPool,
+    WorkerConfig,
+    WorkerCrashError,
+    WorkerTask,
+    execute_batch,
+)
 
 
 class CircuitBreaker:
@@ -406,13 +412,18 @@ class _PinLifecycle:
 class _PinnedState:
     """Everything one graph version's requests share, all immutable in use.
 
-    In process-executor mode the state additionally carries the published
-    shared-memory segment (``shared``) workers attach the snapshot from;
+    ``view`` is the graph (or frozen snapshot view) the pin was built
+    from: names resolve and labels read against it, never against the
+    engine's current graph, so a request in flight across a hot swap
+    answers wholly from its own version. In process-executor mode the
+    state additionally carries the published shared-memory segment
+    (``shared``) workers attach the snapshot from;
     its lifecycle follows the pin's (retired when the pin is replaced,
     unlinked once its last in-flight request completes). ``lifecycle``
     is the pin's mutable drain bookkeeping (see :class:`_PinLifecycle`).
     """
 
+    view: KnowledgeGraph
     snapshot: CompiledGraph
     selector: RandomWalkContext
     entity_index: EntityIndex
@@ -590,9 +601,6 @@ class NCEngine:
         damping = config.damping
         iterations = config.iterations
         discriminator_params = config.discriminator_params
-        excluded_labels = config.excluded_labels
-        include_inverse_labels = config.include_inverse_labels
-        none_bucket = config.none_bucket
         cache_size = config.cache_size
         max_workers = config.max_workers
         executor = config.executor
@@ -614,13 +622,9 @@ class NCEngine:
         self.alpha = alpha
         self.damping = damping
         self.iterations = iterations
-        self._discriminator_params = dict(discriminator_params or {})
         self._discriminator_fingerprint = tuple(
-            sorted(self._discriminator_params.items())
+            sorted((discriminator_params or {}).items())
         )
-        self._excluded_labels = excluded_labels
-        self._include_inverse_labels = include_inverse_labels
-        self._none_bucket = none_bucket
         self._seed = seed
         self._started_monotonic = time.monotonic()
         self.snapshot_source = config.snapshot_source or (
@@ -656,9 +660,9 @@ class NCEngine:
         self._worker_config = WorkerConfig(
             damping=self.damping,
             iterations=self.iterations,
-            excluded_labels=self._excluded_labels,
-            include_inverse_labels=self._include_inverse_labels,
-            none_bucket=self._none_bucket,
+            excluded_labels=config.excluded_labels,
+            include_inverse_labels=config.include_inverse_labels,
+            none_bucket=config.none_bucket,
             discriminator_params=self._discriminator_fingerprint,
         )
         self._pin_lock = threading.Lock()
@@ -853,6 +857,7 @@ class NCEngine:
                 last_error = error
                 continue
             state = _PinnedState(
+                view=self._graph,
                 snapshot=snapshot,
                 selector=selector,
                 entity_index=EntityIndex(self._graph),
@@ -904,6 +909,7 @@ class NCEngine:
             else:  # pragma: no cover - shm-backed view served directly
                 shared = self._publish(snapshot, selector)
         return _PinnedState(
+            view=graph,
             snapshot=snapshot,
             selector=selector,
             entity_index=EntityIndex(graph),
@@ -1084,7 +1090,7 @@ class NCEngine:
         if len(query) == 0:
             raise QueryError("the query set must not be empty")
         resolved = resolve_node_refs(
-            self._graph, query, lambda: state.entity_index
+            state.view, query, lambda: state.entity_index
         )
         return tuple(sorted(set(resolved)))
 
@@ -1149,24 +1155,25 @@ class NCEngine:
 
     def _compute_local(self, key: tuple, query_ids: tuple[int, ...], k: int,
                        alpha: float, state: _PinnedState) -> FindNCResult:
-        """Run the pipeline on the calling executor thread (thread backend)."""
+        """Run the pipeline on the calling executor thread (thread backend
+        and breaker fallback): a batch of one over the pin's own view."""
         faults.fire("engine.slow")  # chaos hook: the rule's delay applies here
-        discriminator = MultinomialDiscriminator(
-            alpha=alpha,
-            rng=self._rng_seed(key),
-            **self._discriminator_params,
-        )
-        finder = FindNC(
-            self._graph,
-            context_selector=state.selector,
-            discriminator=discriminator,
+        task = WorkerTask(
+            query_ids=query_ids,
             context_size=k,
-            excluded_labels=self._excluded_labels,
-            include_inverse_labels=self._include_inverse_labels,
-            none_bucket=self._none_bucket,
-            entity_index=state.entity_index,
+            alpha=alpha,
+            rng_seed=self._rng_seed(key),
+            config=self._worker_config,
         )
-        return finder.run(query_ids, snapshot=state.snapshot)
+        [outcome] = execute_batch(state.view, state.snapshot, state.selector, [task])
+        if isinstance(outcome, Exception):
+            try:
+                raise outcome
+            finally:
+                # Break the frame -> outcome -> traceback cycle, which
+                # would keep the pin's buffers alive until a gc pass.
+                del outcome
+        return outcome
 
     def _compute_remote(self, key: tuple, query_ids: tuple[int, ...], k: int,
                         alpha: float, state: _PinnedState,
@@ -1175,9 +1182,10 @@ class NCEngine:
         """Dispatch the computation to the worker pool (process backend).
 
         The RNG seed derives from the cache key exactly as in the local
-        path, and the worker replicates :meth:`_compute_local`'s
-        construction, so both backends return identical results — which
-        is also what makes the failure handling here safe:
+        path, and the worker runs the same
+        :func:`~repro.service.workers.execute_batch`, so both backends
+        return identical results — which is also what makes the failure
+        handling here safe:
 
         * a **stale segment** (retired between dispatch and the
           worker's attach — a writer or hot swap raced the request) is

@@ -744,26 +744,11 @@ class ServiceMetrics:
             "Delta runs appended against the active chain base that the "
             "serving snapshot has not folded in yet (0 when fully merged).",
         )
-        self.kernel_active = reg.gauge(
-            "nc_kernel_active",
-            "The compute kernel in use (REPRO_KERNEL seam): 1 for the active "
-            "kernel series, 0 for the others.",
-            ("kernel",),
-        )
         # Latency histograms carry trace-id exemplars only when the
         # operator opts in (--metrics-exemplars): classic Prometheus
         # scrapers tolerate the clause, but the default stays 0.0.4-pure.
         self.http_latency.emit_exemplars = exemplars
         self.compute_latency.emit_exemplars = exemplars
-        self._sync_kernel_gauge()
-
-    def _sync_kernel_gauge(self) -> None:
-        """Publish the resolved REPRO_KERNEL selection as a one-hot gauge."""
-        from repro.walk import kernels
-
-        active = kernels.active_kernel()
-        for name in kernels.KNOWN_KERNELS:
-            self.kernel_active.set(1.0 if name == active else 0.0, kernel=name)
 
     def cache_event(self, event: str, count: int = 1) -> None:
         """:class:`~repro.service.cache.ResultCache`'s ``on_event`` hook."""

@@ -104,7 +104,6 @@ from repro.service.tracing import (
     trace_tree,
 )
 from repro.service.workers import RemoteQueryError, WorkerCrashError
-from repro.walk.kernels import kernel_status
 
 #: Stable machine-readable error codes, keyed by HTTP status, used when
 #: a handler does not pass a more specific ``code``. Clients switch on
@@ -643,9 +642,6 @@ class NCRequestHandler(BaseHTTPRequestHandler):
                 "nodes": graph.node_count,
                 "edges": graph.edge_count,
                 "executor": engine.executor,
-                # surfaced so silent numba -> numpy degradation is
-                # visible on the liveness probe, not just in metrics
-                "kernel": kernel_status().as_dict(),
             }
         )
         self._send_json(payload)

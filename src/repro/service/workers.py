@@ -1,37 +1,42 @@
-"""Multiprocess execution backend for :class:`~repro.service.engine.NCEngine`.
+"""One FindNC execution function, and the process pool that runs it.
+
+:func:`execute_batch` is the service's only FindNC execution path. Both
+executors call it: :class:`~repro.service.engine.NCEngine` runs a batch
+of one on its executor thread (thread backend and breaker fallback), and
+every worker process runs whatever batch it receives. A lone query is
+simply a batch of one, so the two backends cannot drift apart.
 
 The thread backend serves *distinct* queries at ~1x per core: the
-pipeline's Python-level work holds the GIL. This module is the scaling
-lever for that traffic class — a pool of persistent worker **processes**
-that execute FindNC computations against the shared-memory graph
-snapshot published by :mod:`repro.parallel.shm`:
+pipeline's Python-level work holds the GIL. The pool below is the
+scaling lever for that traffic class — persistent worker **processes**
+that execute against the shared-memory graph snapshot published by
+:mod:`repro.parallel.shm`:
 
 * the engine (parent) keeps everything stateful: HTTP serving, name
   resolution, the version-keyed result cache, single-flight coalescing,
   and segment publication;
-* workers receive ``(job id, snapshot header, resolved query ids,
-  parameters)`` tuples — a few hundred bytes — and attach the snapshot
-  **once per graph version** (an shm segment for live-graph serving, an
-  mmapped snapshot file for ``repro serve --snapshot``), adopting the
-  published frozen PPR transition CSR zero-copy (rebuilding it only when
-  the publisher did not share one); per-request cost is one small task
-  pickle and one result pickle, never the graph;
+* workers receive batches of :class:`WorkerTask` orders — a few hundred
+  bytes each — and attach the snapshot **once per graph version** (an
+  shm segment for live-graph serving, an mmapped snapshot file for
+  ``repro serve --snapshot``), adopting the published frozen PPR
+  transition CSR zero-copy (rebuilding it only when the publisher did
+  not share one); per-request cost is one small task pickle and one
+  result pickle, never the graph;
 * dispatch is round-robin over per-worker task queues, results flow back
-  over one shared queue drained by a collector thread that resolves the
-  parent-side jobs.
+  as one list per batch over one shared queue drained by a collector
+  thread that resolves the parent-side jobs.
 
-Micro-batching (``max_batch > 1``): instead of sending each task the
-moment ``run`` is called, tasks queue in a parent-side pending deque and a
-dispatcher thread drains them into bounded micro-batches — up to
-``max_batch`` tasks pinned to the *same* snapshot segment, gathered for at
-most ``batch_window_ms``. A whole batch ships as one
-:class:`WorkerBatchTask` pickle, the worker answers every member's context
-search with a single shared multi-column power iteration
-(:meth:`~repro.core.context.RandomWalkContext.select_many`), and all
-member results return as one list message — per-step sparse-matmat cost
-and result-transport overhead are amortized across the batch. Results are
-bit-identical to per-task execution (the differential suite in
-``tests/test_batch_parity.py`` pins this), and a member whose deadline
+Every message is a batch. With ``max_batch=1`` each ``run`` call ships
+its task at once as a batch of one. With ``max_batch > 1`` tasks queue
+in a parent-side pending deque and a dispatcher thread drains them into
+micro-batches — up to ``max_batch`` tasks pinned to the *same* snapshot
+segment, gathered for at most ``batch_window_ms``. The worker answers
+every member's context search with a single shared multi-column power
+iteration (:meth:`~repro.core.context.RandomWalkContext.select_many`) and
+one fused distribution sweep, so per-step sparse-matmat cost and
+result-transport overhead are amortized across the batch. Answers are
+byte-identical to :meth:`~repro.core.findnc.FindNC.run` on each query
+alone (``tests/test_batch_parity.py``), and a member whose deadline
 expires while waiting in the batch window is shed alone — its batchmates
 still execute.
 
@@ -58,13 +63,10 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.discrimination import MultinomialDiscriminator
 from repro.core.distributions import sweep_counts_many
-from repro.core.findnc import FindNC, FindNCResult, default_excluded_labels
+from repro.core.findnc import FindNC, FindNCResult
 from repro.errors import DeadlineExceededError
-from repro.graph.labels import is_inverse_label
 from repro.parallel.shm import (
     SharedSnapshot,
     SharedSnapshotHeader,
@@ -74,7 +76,6 @@ from repro.parallel.shm import (
 )
 from repro.service import faults
 from repro.service.tracing import WorkerSpanRecorder
-from repro.walk.kernels import active_kernel
 
 
 def _attach_header(header):
@@ -114,7 +115,7 @@ class RemoteQueryError(RuntimeError):
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """The engine parameters a worker needs to replicate ``_compute``.
+    """The engine parameters one FindNC computation needs.
 
     Shipped with every task (it is tiny and immutable); fields mirror the
     :class:`~repro.service.engine.NCEngine` constructor so thread- and
@@ -133,272 +134,185 @@ class WorkerConfig:
 
 @dataclass(frozen=True)
 class WorkerTask:
-    """One FindNC computation order, as pickled onto a worker queue.
+    """One FindNC computation order for :func:`execute_batch`.
 
-    ``trace`` is the request's trace id when the parent is recording
-    spans for it — the worker then times its phases through a
-    :class:`~repro.service.tracing.WorkerSpanRecorder` and ships them
-    back by wrapping the ``"ok"`` payload as ``(result, spans)``; with
-    ``trace=None`` the payload is the bare result and the worker records
-    nothing.
+    The engine's thread path builds it with the defaults; the pool stamps
+    ``job_id`` and the snapshot ``header`` before pickling it onto a
+    worker queue. ``trace`` is the request's trace id when the parent is
+    recording spans for it — the worker then ships the member's phase
+    spans back by wrapping the ``"ok"`` payload as ``(result, spans)``;
+    with ``trace=None`` the payload is the bare result.
     """
 
-    job_id: int
-    header: SharedSnapshotHeader
     query_ids: "tuple[int, ...]"
     context_size: int
     alpha: float
     rng_seed: int
     config: WorkerConfig
+    job_id: int = 0
+    header: "SharedSnapshotHeader | None" = None
     trace: "str | None" = None
 
 
-@dataclass(frozen=True)
-class WorkerBatchTask:
-    """A micro-batch of tasks pinned to one snapshot segment.
+def execute_batch(view, snapshot, selector, tasks, recorder=None) -> list:
+    """Run FindNC for every task against one pinned view; one outcome each.
 
-    All members share ``members[0].header`` (the dispatcher groups by
-    segment), so the worker attaches once and answers every member's
-    context search with a single shared power-iteration sweep.
+    ``view`` is the graph (or snapshot view) the pin was built from,
+    ``snapshot`` its compiled form and ``selector`` its frozen PPR
+    selector. Tasks are grouped by candidate-label policy and context
+    size; each group runs one shared multi-column power iteration
+    (:meth:`~repro.core.context.RandomWalkContext.select_many`) and one
+    label-masked fused sweep
+    (:func:`~repro.core.distributions.sweep_counts_many`), then
+    :meth:`~repro.core.findnc.FindNC.run` per member on the injected
+    context and counters — byte-identical to ``FindNC.run`` on the member
+    alone.
+
+    Returns, in task order, each task's :class:`FindNCResult` or the
+    exception it raised. If a group's shared phase fails, each member is
+    re-run as a batch of one, so the error lands only on the member that
+    caused it. ``StaleSnapshotError`` propagates: staleness is a property
+    of the shared segment, hence of the whole batch.
+
+    With a ``recorder``, each group records ``worker.ppr`` and
+    ``worker.sweep`` for its members and each member its own
+    ``worker.discriminate``, scoped by batch position (see
+    :meth:`~repro.service.tracing.WorkerSpanRecorder.export`).
     """
+    groups: "dict[tuple, list[int]]" = {}
+    for index, task in enumerate(tasks):
+        policy = (
+            task.context_size,
+            task.config.excluded_labels,
+            task.config.include_inverse_labels,
+        )
+        groups.setdefault(policy, []).append(index)
+    outcomes: list = [None] * len(tasks)
+    pending = list(groups.values())
+    while pending:
+        indices = pending.pop()
+        group = _outcome(
+            _run_group, view, snapshot, selector, tasks, indices, recorder
+        )
+        if not isinstance(group, Exception):
+            for index, outcome in zip(indices, group):
+                outcomes[index] = outcome
+        elif len(indices) == 1:
+            outcomes[indices[0]] = group
+        else:
+            pending.extend([index] for index in indices)
+    return outcomes
 
-    members: "tuple[WorkerTask, ...]"
 
+def _outcome(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, or the exception it raised.
 
-def _execute_task(
-    view: SnapshotGraphView,
-    selector,
-    task: WorkerTask,
-    context=None,
-    sweep_cache=None,
-) -> FindNCResult:
-    """Run one FindNC computation against the attached snapshot view.
-
-    Mirrors ``NCEngine._compute`` exactly — same discriminator
-    construction, same pinned-snapshot ``FindNC.run`` — so a process
-    worker and a parent thread produce identical results for one task.
-    ``context`` injects a precomputed
-    :class:`~repro.core.context.ContextResult` (the micro-batch shared
-    phase); ``FindNC.run`` skips its own selection when one is given.
-    ``sweep_cache`` likewise injects the batch's fused distribution
-    counters (see :func:`~repro.core.distributions.sweep_counts_many`).
+    Catching in this frame, which holds no outcome list, keeps a failed
+    member's traceback free of reference cycles: dropping the outcomes
+    frees the frames at once, so no stray frame pins the attached
+    snapshot's buffers past the next segment switch.
     """
-    config = task.config
-    discriminator = MultinomialDiscriminator(
-        alpha=task.alpha,
-        rng=task.rng_seed,
-        **dict(config.discriminator_params),
-    )
-    finder = FindNC(
-        view,
-        context_selector=selector,
-        discriminator=discriminator,
-        context_size=task.context_size,
-        excluded_labels=config.excluded_labels,
-        include_inverse_labels=config.include_inverse_labels,
-        none_bucket=config.none_bucket,
-    )
-    return finder.run(
-        task.query_ids,
-        context=context,
-        snapshot=view._compiled(),  # noqa: SLF001 - pinned per attach
-        sweep_cache=sweep_cache,
-    )
-
-
-def _member_entry(
-    view,
-    selector,
-    task: WorkerTask,
-    context,
-    sweep_cache=None,
-    recorder: "WorkerSpanRecorder | None" = None,
-    shared_spans: "list[dict] | None" = None,
-):
-    """One member's result entry, with per-member error attribution.
-
-    A traced member's ``"ok"`` payload is ``(result, spans)``: the
-    message-level spans (transition adoption), this member's group's
-    shared-phase spans (``shared_spans``: PPR + fused sweep), and one
-    span for this member's own work — ``worker.discriminate`` when the
-    shared phase precomputed its context, ``worker.execute`` when it ran
-    the full pipeline itself (lone task or per-member fallback).
-    """
-    traced = recorder is not None and task.trace is not None
     try:
-        start = recorder.now() if traced else 0
-        result = _execute_task(view, selector, task, context, sweep_cache)
-        if traced:
-            spans = recorder.export()
-            spans.extend(shared_spans or ())
-            spans.append(
-                {
-                    "name": (
-                        "worker.discriminate"
-                        if context is not None
-                        else "worker.execute"
-                    ),
-                    "start": start,
-                    "end": recorder.now(),
-                    "attrs": {
-                        "queries": len(task.query_ids),
-                        "kernel": active_kernel(),
-                    },
-                }
-            )
-            return (task.job_id, task.header.segment, "ok", (result, spans))
-        return (task.job_id, task.header.segment, "ok", result)
+        return call(*args, **kwargs)
     except StaleSnapshotError:
         raise
-    except BaseException as error:  # noqa: BLE001 - forwarded to the parent
-        payload = (repr(error), traceback.format_exc())
-        return (task.job_id, task.header.segment, "error", payload)
+    except Exception as error:  # noqa: BLE001 - becomes the member's outcome
+        return error
 
 
-def _candidate_label_mask(view, compiled, config: WorkerConfig):
-    """Boolean mask over label ids admitting exactly the candidate labels.
-
-    Mirrors ``FindNC._filter_candidates`` for ``config``'s policy: the
-    fused batch sweep drops excluded/inverse labels' edge rows up front
-    (they are often most of the adjacency), and ``FindNC.run`` derives
-    the same candidate list from the masked counters that an unmasked
-    enumeration plus filtering would produce.
-    """
-    excluded = (
-        config.excluded_labels
-        if config.excluded_labels is not None
-        else default_excluded_labels()
+def _run_group(view, snapshot, selector, tasks, indices, recorder) -> list:
+    """One policy group's shared phase, then each member's own run."""
+    group = [tasks[index] for index in indices]
+    finders = [
+        FindNC(
+            view,
+            context_selector=selector,
+            discriminator=MultinomialDiscriminator(
+                alpha=task.alpha,
+                rng=task.rng_seed,
+                **dict(task.config.discriminator_params),
+            ),
+            context_size=task.context_size,
+            excluded_labels=task.config.excluded_labels,
+            include_inverse_labels=task.config.include_inverse_labels,
+            none_bucket=task.config.none_bucket,
+        )
+        for task in group
+    ]
+    # The ids FindNC.run itself derives (deduped, order kept): the shared
+    # selection and the sweep-cache keys must match them exactly.
+    queries = [
+        finder.resolve_query(task.query_ids) for finder, task in zip(finders, group)
+    ]
+    ppr_start = recorder.now() if recorder is not None else 0
+    contexts = selector.select_many(queries, group[0].context_size)
+    sweep_start = recorder.now() if recorder is not None else 0
+    node_sets = queries + [tuple(context.nodes) for context in contexts]
+    sweeps = sweep_counts_many(
+        snapshot, node_sets, finders[0].candidate_label_mask(snapshot)
     )
-    table = view._label_table()  # noqa: SLF001 - label ids only grow
-    mask = np.zeros(max(compiled.label_count, 1), dtype=bool)
-    for label_id in range(compiled.label_count):
-        name = table.name(label_id)
-        if name in excluded:
-            continue
-        if not config.include_inverse_labels and is_inverse_label(name):
-            continue
-        mask[label_id] = True
-    return mask
-
-
-def _execute_batch(
-    view,
-    selector,
-    members: "tuple[WorkerTask, ...]",
-    recorder: "WorkerSpanRecorder | None" = None,
-) -> list:
-    """Run a micro-batch with one shared PPR sweep; per-member entries back.
-
-    The shared phase pools every member's personalization columns into a
-    single multi-column power iteration
-    (:meth:`~repro.core.context.RandomWalkContext.select_many`); the
-    per-member discrimination phase then reuses each precomputed context
-    through the same ``FindNC`` construction ``_execute_task`` performs —
-    results are bit-identical to running the members one at a time.
-
-    Attribution stays per member: a member whose discrimination raises
-    gets an ``"error"`` entry without poisoning its batchmates, and if the
-    shared phase itself fails (e.g. one member's query ids are invalid)
-    the group falls back to independent per-member runs so the failure
-    lands only on the members that caused it. ``StaleSnapshotError``
-    propagates — staleness is a property of the shared segment, hence of
-    the whole batch.
-    """
-    entries: list = []
-    # Members usually share one context size (the engine's is fixed), but
-    # the pool API does not require it — one shared sweep per size.
-    groups: dict[int, list[WorkerTask]] = {}
-    for member in members:
-        groups.setdefault(member.context_size, []).append(member)
-    for context_size, group in groups.items():
-        # Shared-phase spans for this group (PPR + fused sweep) are built
-        # as offset dicts and attached to *every* traced member — each of
-        # them did spend that wall-clock waiting on the shared work.
-        shared_spans: "list[dict]" = []
-        try:
-            ppr_start = recorder.now() if recorder is not None else 0
-            contexts = selector.select_many(
-                [member.query_ids for member in group], context_size
+    sweep_cache = dict(zip(node_sets, sweeps))
+    if recorder is not None:
+        recorder.record(
+            "worker.ppr",
+            ppr_start,
+            sweep_start,
+            members=indices,
+            batch_size=len(group),
+            context_size=group[0].context_size,
+        )
+        recorder.record(
+            "worker.sweep",
+            sweep_start,
+            members=indices,
+            batch_size=len(group),
+            node_sets=len(node_sets),
+        )
+    outcomes = []
+    for index, finder, query, context in zip(indices, finders, queries, contexts):
+        start = recorder.now() if recorder is not None else 0
+        outcomes.append(
+            _outcome(
+                finder.run,
+                query,
+                context=context,
+                snapshot=snapshot,
+                sweep_cache=sweep_cache,
             )
-            if recorder is not None:
-                shared_spans.append(
-                    {
-                        "name": "worker.ppr",
-                        "start": ppr_start,
-                        "end": recorder.now(),
-                        "attrs": {
-                            "batch_size": len(group),
-                            "context_size": context_size,
-                            "kernel": active_kernel(),
-                        },
-                    }
-                )
-            # Second shared pass: sweep every member's query and context
-            # sets for the distribution builder in one fused gather.
-            # Query keys are deduped order-preserving, matching what
-            # ``FindNC.resolve_query`` derives from the (already
-            # id-resolved) task ids, so ``run`` gets cache hits.
-            node_sets = [
-                tuple(dict.fromkeys(member.query_ids)) for member in group
-            ] + [tuple(context.nodes) for context in contexts]
-            compiled = view._compiled()  # noqa: SLF001 - pinned per attach
-            # When the whole group shares one candidate-label policy
-            # (the engine ships a uniform config), the sweep can drop
-            # excluded/inverse labels' rows before sorting. Mixed
-            # policies just sweep unmasked — slower, never wrong.
-            policies = {
-                (member.config.excluded_labels, member.config.include_inverse_labels)
-                for member in group
-            }
-            label_mask = (
-                _candidate_label_mask(view, compiled, group[0].config)
-                if len(policies) == 1
-                else None
+        )
+        if recorder is not None:
+            recorder.record(
+                "worker.discriminate", start, members=(index,), queries=len(query)
             )
-            sweep_start = recorder.now() if recorder is not None else 0
-            sweeps = sweep_counts_many(compiled, node_sets, label_mask)
-            sweep_cache = dict(zip(node_sets, sweeps))
-            if recorder is not None:
-                shared_spans.append(
-                    {
-                        "name": "worker.sweep",
-                        "start": sweep_start,
-                        "end": recorder.now(),
-                        "attrs": {
-                            "batch_size": len(group),
-                            "node_sets": len(node_sets),
-                            "kernel": active_kernel(),
-                        },
-                    }
-                )
-        except StaleSnapshotError:
-            raise
-        except Exception:
-            for member in group:
-                entries.append(
-                    _member_entry(view, selector, member, None, recorder=recorder)
-                )
-            continue
-        for member, context in zip(group, contexts):
-            entries.append(
-                _member_entry(
-                    view,
-                    selector,
-                    member,
-                    context,
-                    sweep_cache,
-                    recorder=recorder,
-                    shared_spans=shared_spans,
-                )
+    return outcomes
+
+
+def _replies(members, outcomes, recorder) -> list:
+    """The ``(job_id, segment, status, payload)`` entry of every member."""
+    replies = []
+    for index, (task, outcome) in enumerate(zip(members, outcomes)):
+        segment = task.header.segment
+        if isinstance(outcome, Exception):
+            remote = traceback.format_exception(
+                type(outcome), outcome, outcome.__traceback__
             )
-    return entries
+            replies.append(
+                (task.job_id, segment, "error", (repr(outcome), "".join(remote)))
+            )
+        elif recorder is not None and task.trace is not None:
+            payload = (outcome, recorder.export(index))
+            replies.append((task.job_id, segment, "ok", payload))
+        else:
+            replies.append((task.job_id, segment, "ok", outcome))
+    return replies
 
 
 def _worker_main(worker_index: int, task_queue, result_queue) -> None:
-    """The worker process loop: attach-per-version, compute-per-task.
+    """The worker process loop: attach-per-version, a batch per message.
 
-    Messages back to the parent are ``(job_id, segment, status, payload)``
-    with status ``"ok"`` (payload: the pickled
+    Each message is a tuple of :class:`WorkerTask` pinned to one segment;
+    the reply is one list of ``(job_id, segment, status, payload)``
+    entries, in member order, with status ``"ok"`` (payload: the pickled
     :class:`~repro.core.findnc.FindNCResult`), ``"stale"`` (the segment
     was unlinked before this worker could attach) or ``"error"``
     (payload: ``(repr, traceback string)``).
@@ -415,19 +329,17 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
     selector = None
 
     while True:
-        message: "WorkerTask | WorkerBatchTask | None" = task_queue.get()
-        if message is None:
+        members: "tuple[WorkerTask, ...] | None" = task_queue.get()
+        if members is None:
             break
         if faults.fire("worker.crash"):
             # Simulated hard crash mid-job: no result message, no cleanup
-            # — exactly what the parent's watchdog must recover from. For
-            # a batch message the whole batch is lost; every member's
-            # watchdog surfaces the crash and the engine's per-request
-            # retries re-dispatch (and re-batch) them independently.
+            # — exactly what the parent's watchdog must recover from. The
+            # whole batch is lost; every member's watchdog surfaces the
+            # crash and the engine's per-request retries re-dispatch (and
+            # re-batch) them independently.
             os._exit(1)
         faults.fire("worker.slow")  # the rule's delay models a hung worker
-        batched = isinstance(message, WorkerBatchTask)
-        members = message.members if batched else (message,)
         task = members[0]
         segment = task.header.segment
         # One recorder per received message: its origin (message receipt)
@@ -481,42 +393,36 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
                         segment=segment,
                         shared_transition=shared_transition is not None,
                     )
-            if batched:
-                # One list message for the whole batch: result pickling
-                # and queue transport are paid once per batch, not per
-                # member.
-                result_queue.put(_execute_batch(view, selector, members, recorder))
-            else:
-                # Same reply shapes as before: _member_entry produces the
-                # identical ok/error tuples the inline path did, plus the
-                # (result, spans) payload wrap for traced tasks.
-                result_queue.put(
-                    _member_entry(view, selector, task, None, recorder=recorder)
+            # One list message for the whole batch: result pickling and
+            # queue transport are paid once per batch, not per member. No
+            # local keeps the outcomes, so nothing outlives the reply to
+            # pin this segment's buffers when the next message re-attaches.
+            result_queue.put(
+                _replies(
+                    members,
+                    execute_batch(
+                        view,
+                        view._compiled(),  # noqa: SLF001 - pinned per attach
+                        selector,
+                        members,
+                        recorder,
+                    ),
+                    recorder,
                 )
+            )
         except StaleSnapshotError:
             attached = None
             attached_segment = None
             view = None
             selector = None
-            if batched:
-                result_queue.put(
-                    [(member.job_id, segment, "stale", None) for member in members]
-                )
-            else:
-                result_queue.put((task.job_id, segment, "stale", None))
+            result_queue.put(
+                [(member.job_id, segment, "stale", None) for member in members]
+            )
         except BaseException as error:  # noqa: BLE001 - forwarded to the parent
             payload = (repr(error), traceback.format_exc())
-            try:
-                replies = [
-                    (member.job_id, segment, "error", payload) for member in members
-                ]
-                result_queue.put(replies if batched else replies[0])
-            except Exception:  # pragma: no cover - unpicklable payload
-                replies = [
-                    (member.job_id, segment, "error", (repr(error), ""))
-                    for member in members
-                ]
-                result_queue.put(replies if batched else replies[0])
+            result_queue.put(
+                [(member.job_id, segment, "error", payload) for member in members]
+            )
 
     # Orderly shutdown: release the mapping before the interpreter exits.
     selector = None
@@ -606,7 +512,8 @@ class ProcessWorkerPool:
     pending deque and a dispatcher thread groups them by snapshot segment
     into batches of up to ``max_batch``, waiting at most
     ``batch_window_ms`` for stragglers once a task is pending. The default
-    (``max_batch=1``) keeps the original direct per-task dispatch path.
+    (``max_batch=1``) sends each task from ``run`` directly, as a batch
+    of one.
     ``on_batch`` is an optional callback ``(size: int)`` fired per
     dispatched batch (the engine wires it to a batch-size histogram).
     """
@@ -840,13 +747,13 @@ class ProcessWorkerPool:
                 raise RuntimeError("worker pool is closed")
             job_id = next(self._job_ids)
             task = WorkerTask(
-                job_id=job_id,
-                header=header,
                 query_ids=tuple(query_ids),
                 context_size=context_size,
                 alpha=alpha,
                 rng_seed=rng_seed,
                 config=config,
+                job_id=job_id,
+                header=header,
                 trace=trace.trace_id if trace is not None else None,
             )
             if batching:
@@ -870,7 +777,7 @@ class ProcessWorkerPool:
         self._emit("dispatch")
         if not batching:
             try:
-                self._task_queues[slot].put(task)
+                self._task_queues[slot].put((task,))
             except BaseException:
                 # put() pickles the task on the calling thread; a failure
                 # here (e.g. an unpicklable discriminator param) must give
@@ -1091,20 +998,8 @@ class ProcessWorkerPool:
                     self._on_batch(len(picked))
                 except Exception:  # noqa: BLE001 - observability is best-effort
                     pass
-            if len(picked) == 1 and picked[0][1].trace is None:
-                # A lone task ships as a plain WorkerTask: the worker's
-                # single-task path is the batch path's parity oracle, so a
-                # batch of one must be indistinguishable from no batching.
-                # A *traced* lone task takes the batch path anyway — same
-                # bit-identical result (pinned by tests/test_batch_parity)
-                # but with the per-phase PPR/sweep spans recorded.
-                message: "WorkerTask | WorkerBatchTask" = picked[0][1]
-            else:
-                message = WorkerBatchTask(
-                    members=tuple(task for _, task in picked)
-                )
             try:
-                self._task_queues[slot].put(message)
+                self._task_queues[slot].put(tuple(task for _, task in picked))
             except BaseException as error:  # noqa: BLE001 - resolve all members
                 payload = (repr(error), traceback.format_exc())
                 for job_id, task in picked:
@@ -1118,10 +1013,8 @@ class ProcessWorkerPool:
             if message is None:
                 break
             # A batch answers with one list of per-member entries (one
-            # pickle for the whole batch); each entry resolves exactly
-            # like a standalone result message.
-            entries = message if isinstance(message, list) else [message]
-            for job_id, segment, status, payload in entries:
+            # pickle for the whole batch).
+            for job_id, segment, status, payload in message:
                 unlink_now: SharedSnapshot | None = None
                 with self._lock:
                     job = self._jobs.pop(job_id, None)

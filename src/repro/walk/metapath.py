@@ -44,6 +44,7 @@ class Metapath:
 
     @property
     def length(self) -> int:
+        """Number of edges the metapath traverses."""
         return len(self.labels)
 
     def reversed(self) -> "Metapath":
@@ -125,10 +126,12 @@ class ScoredMetapath:
 
     @property
     def labels(self) -> tuple[str, ...]:
+        """The edge labels of the underlying metapath, in walk order."""
         return self.metapath.labels
 
     @property
     def length(self) -> int:
+        """Number of edges the underlying metapath traverses."""
         return self.metapath.length
 
 

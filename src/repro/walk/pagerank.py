@@ -42,7 +42,6 @@ from repro.graph.matrix import (
     weighted_adjacency,
 )
 from repro.graph.model import KnowledgeGraph
-from repro.walk import kernels
 
 
 def _dangling_columns(transition: sparse.csr_matrix) -> np.ndarray:
@@ -202,7 +201,7 @@ def power_iteration_batch(
         # (the dense teleport matrix is never materialised).
         values = (1.0 - damping) * v[restart_rows, restart_cols]
         for _ in range(iterations):
-            walked = kernels.csr_matmat(walk, p)
+            walked = walk @ p
             walked[restart_rows, restart_cols] += values
             p = walked
         return p
@@ -211,7 +210,7 @@ def power_iteration_batch(
     v_damped = damping * v if dangling.size else None
     scratch = np.empty_like(v)
     for _ in range(iterations):
-        walked = kernels.csr_matmat(walk, p)
+        walked = walk @ p
         if dangling.size:
             # Dangling leak per column: p's mass on the dangling set. The
             # (d, q) gather keeps the reduction shape a function of d
@@ -417,9 +416,15 @@ class PersonalizedPageRank:
 
     @property
     def graph(self) -> KnowledgeGraph:
+        """The graph whose transition matrix this runner walks."""
         return self._graph
 
     def transition(self) -> sparse.csr_matrix:
+        """The column-stochastic transition matrix, built on first use.
+
+        Rebuilt when the graph's version moves, unless the runner is
+        pinned, in which case the first matrix is kept for good.
+        """
         if self._transition is not None and (
             self.pin or self._graph.version == self._version
         ):

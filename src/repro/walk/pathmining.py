@@ -53,6 +53,7 @@ class MinedPaths:
         return self.hits / self.samples if self.samples else 0.0
 
     def metapaths(self) -> list[Metapath]:
+        """The mined metapaths without their counts, in ranked order."""
         return [p.metapath for p in self.paths]
 
     def __len__(self) -> int:
@@ -81,6 +82,7 @@ class PathMiner:
 
     @property
     def graph(self) -> KnowledgeGraph:
+        """The graph the miner samples walks from."""
         return self._graph
 
     def mine(

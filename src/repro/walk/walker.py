@@ -33,10 +33,12 @@ class WalkRecord:
 
     @property
     def start(self) -> int:
+        """The node the walk started from."""
         return self.nodes[0]
 
     @property
     def end(self) -> int:
+        """The node the walk ended on."""
         return self.nodes[-1]
 
 
@@ -86,6 +88,7 @@ class RandomWalker:
 
     @property
     def graph(self) -> KnowledgeGraph:
+        """The graph the walker steps through."""
         return self._graph
 
     def _alternatives(self, node: int) -> _NodeAlternatives | None:

@@ -27,6 +27,8 @@ import pytest
 
 from repro.datasets.figure1 import figure1_graph
 from repro.disk import SnapshotRegistry
+from repro.graph.model import KnowledgeGraph
+from repro.service import faults
 from repro.service.engine import NCEngine
 from repro.service.server import RegistryPoller, create_server
 
@@ -50,6 +52,28 @@ def _wait_drained(engine, version, timeout=20.0):
             return True
         time.sleep(0.02)
     return False
+
+
+def _reversed_vocabulary(graph):
+    """``graph``'s edges with node and label ids interned in reverse order."""
+    reversed_graph = KnowledgeGraph(graph.name)
+    for name in reversed(list(graph.node_names())):
+        reversed_graph.add_node(name)
+    for edge in reversed(list(graph.edges())):
+        reversed_graph.add_edge(
+            graph.node_name(edge.source),
+            edge.label,
+            graph.node_name(edge.target),
+            add_inverse=False,
+        )
+    return reversed_graph
+
+
+def _answer(result):
+    """The labels, scores and p-values of a FindNC result, in rank order."""
+    return [
+        (r.label, r.score, r.inst_p_value, r.card_p_value) for r in result.results
+    ]
 
 
 def _swap_under_traffic(engine, registry, *, clients=3, settle_s=0.15):
@@ -134,6 +158,46 @@ class TestSwapThreadBackend:
             (i.label, i.score) for i in theirs.results
         ]
         assert ours.notable_labels() == theirs.notable_labels()
+
+    def test_in_flight_request_answers_from_its_own_version(self, tmp_path):
+        """A request in flight across a swap reads only the view it pinned.
+
+        v2 holds the same edges as v1 with node and label ids interned in
+        reverse order, so any read of v2's tables with v1's ids (names,
+        label names) changes the answer.
+        """
+        registry = SnapshotRegistry(tmp_path / "serving")
+        graph = figure1_graph()
+        registry.publish_graph(graph)
+        registry.publish_graph(_reversed_vocabulary(graph))
+        with NCEngine(
+            registry.open_view(1), context_size=3, max_workers=2, seed=5
+        ) as fresh:
+            expected = _answer(fresh.search(QUERY, context_size=3))
+        injector = faults.parse_spec("engine.slow=1:0.5:1")
+        faults.set_injector(injector)
+        try:
+            with NCEngine(
+                registry.open_view(1), context_size=3, max_workers=2, seed=5
+            ) as engine:
+                engine.pin()
+                answers = []
+                search = threading.Thread(
+                    target=lambda: answers.append(
+                        engine.search(QUERY, context_size=3)
+                    )
+                )
+                search.start()
+                deadline = time.monotonic() + 10.0
+                while not injector.fired("engine.slow"):
+                    assert time.monotonic() < deadline, "search never started"
+                    time.sleep(0.005)
+                assert engine.swap_snapshot(registry.open_view(2)).swapped
+                search.join(timeout=30)
+        finally:
+            faults.reset()
+        assert len(answers) == 1
+        assert _answer(answers[0]) == expected
 
     def test_swap_accepts_a_path(self, registry):
         with NCEngine(

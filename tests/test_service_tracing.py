@@ -166,7 +166,7 @@ class TestSpanStitching:
         recorder = WorkerSpanRecorder()  # worker-side, origin after dispatch
         start = recorder.now()
         time.sleep(0.001)
-        recorder.record("worker.ppr", start, kernel="numpy")
+        recorder.record("worker.ppr", start, batch_size=2)
         recorder.record("worker.sweep", recorder.now())
 
         worker = trace.add_span(
@@ -195,7 +195,22 @@ class TestSpanStitching:
             assert parent["start_ns"] <= span["start_ns"]
             assert span["end_ns"] <= parent["end_ns"]
         ppr = next(span for span in remote if span["name"] == "worker.ppr")
-        assert ppr["attributes"] == {"kernel": "numpy"}
+        assert ppr["attributes"] == {"batch_size": 2}
+
+    def test_member_scoped_spans_export_per_member(self):
+        """Unscoped spans go to every member, scoped ones to their own."""
+        recorder = WorkerSpanRecorder()
+        recorder.record("worker.attach", recorder.now())
+        recorder.record("worker.ppr", recorder.now(), members=[0, 2])
+        recorder.record("worker.discriminate", recorder.now(), members=(2,))
+
+        def names(member):
+            return [span["name"] for span in recorder.export(member)]
+
+        assert names(0) == ["worker.attach", "worker.ppr"]
+        assert names(1) == ["worker.attach"]
+        assert names(2) == ["worker.attach", "worker.ppr", "worker.discriminate"]
+        assert len(recorder.export()) == 3
 
     def test_trace_tree_nests_by_parent(self):
         trace = Trace("http.search", sampled=True)
@@ -244,16 +259,14 @@ class TestStructuredLogging:
         assert payload["ts"] > 0
 
 
-@pytest.fixture(scope="module")
-def traced_service():
-    """A live server sampling every request, process workers + batching."""
-    graph = figure1_graph()
+def _serve_traced(max_batch: int):
+    """A live server sampling every request over one process worker."""
     engine = NCEngine(
-        graph,
+        figure1_graph(),
         context_size=3,
         max_workers=1,
         executor="process",
-        max_batch=4,
+        max_batch=max_batch,
         batch_window_ms=5.0,
         seed=7,
         trace_sample_rate=1.0,
@@ -266,6 +279,18 @@ def traced_service():
     server.shutdown()
     server.server_close()
     engine.close()
+
+
+@pytest.fixture(scope="module")
+def traced_service():
+    """A live server sampling every request, process workers + batching."""
+    yield from _serve_traced(max_batch=4)
+
+
+@pytest.fixture(scope="module")
+def unbatched_traced_service():
+    """The same server with batching off (``max_batch=1``)."""
+    yield from _serve_traced(max_batch=1)
 
 
 def _get(server, path, headers=None):
@@ -291,6 +316,54 @@ def _fetch_trace(server, trace_id, timeout_s=5.0):
             if error.code != 404 or time.monotonic() >= deadline:
                 raise
             time.sleep(0.02)
+
+
+def _assert_stitched_tree(server):
+    """Check one traced search's tree: http → engine → pool → worker."""
+    _, headers, _ = _get(
+        server, "/v1/search?query=Matteo_Renzi,Francois_Hollande"
+    )
+    trace_id = headers["X-Trace-Id"]
+    trace = _fetch_trace(server, trace_id)
+    assert trace["trace_id"] == trace_id
+
+    names = {span["name"] for span in trace["spans"]}
+    assert "http.search" in names
+    assert "engine.submit" in names
+    assert "engine.compute" in names
+    assert "pool.worker" in names
+    # worker.attach only appears on the segment's first job, which an
+    # earlier test in this module may already have consumed. Every member
+    # runs as part of a batch, whatever --max-batch is, so the per-phase
+    # spans are always there and no whole-task span is.
+    assert {"worker.ppr", "worker.sweep", "worker.discriminate"} <= names
+    assert "worker.execute" not in names
+
+    # Every child nests inside its parent's interval — the pickle
+    # boundary rebase must keep cross-process timestamps monotonic.
+    by_id = {span["span_id"]: span for span in trace["spans"]}
+    nested = 0
+    for span in trace["spans"]:
+        parent = by_id.get(span["parent_id"])
+        if parent is None:
+            continue
+        nested += 1
+        assert parent["start_ns"] <= span["start_ns"], span["name"]
+        assert span["end_ns"] <= parent["end_ns"], span["name"]
+    assert nested >= 5
+
+    # Worker phase time is a subset of the whole request.
+    worker_ms = sum(
+        span["duration_ms"]
+        for span in trace["spans"]
+        if span["name"] in ("worker.ppr", "worker.sweep", "worker.discriminate")
+    )
+    assert 0 < worker_ms <= trace["duration_ms"]
+
+    # The rendered tree roots at the HTTP span.
+    tree = trace["tree"]
+    assert tree[0]["name"] == "http.search"
+    assert tree[0]["children"]
 
 
 class TestHttpTracing:
@@ -338,47 +411,14 @@ class TestHttpTracing:
     def test_cross_process_stitching_is_monotonic(self, traced_service):
         """The full span tree: http → engine → pool → worker, nested."""
         server, _ = traced_service
-        _, headers, _ = _get(
-            server, "/v1/search?query=Matteo_Renzi,Francois_Hollande"
-        )
-        trace_id = headers["X-Trace-Id"]
-        trace = _fetch_trace(server, trace_id)
-        assert trace["trace_id"] == trace_id
+        _assert_stitched_tree(server)
 
-        names = {span["name"] for span in trace["spans"]}
-        assert "http.search" in names
-        assert "engine.submit" in names
-        assert "engine.compute" in names
-        assert "pool.worker" in names
-        # worker.attach only appears on the segment's first job, which an
-        # earlier test in this module may already have consumed.
-        assert {"worker.ppr", "worker.sweep"} <= names
-
-        # Every child nests inside its parent's interval — the pickle
-        # boundary rebase must keep cross-process timestamps monotonic.
-        by_id = {span["span_id"]: span for span in trace["spans"]}
-        nested = 0
-        for span in trace["spans"]:
-            parent = by_id.get(span["parent_id"])
-            if parent is None:
-                continue
-            nested += 1
-            assert parent["start_ns"] <= span["start_ns"], span["name"]
-            assert span["end_ns"] <= parent["end_ns"], span["name"]
-        assert nested >= 5
-
-        # Worker phase time is a subset of the whole request.
-        worker_ms = sum(
-            span["duration_ms"]
-            for span in trace["spans"]
-            if span["name"] in ("worker.ppr", "worker.sweep")
-        )
-        assert 0 < worker_ms <= trace["duration_ms"]
-
-        # The rendered tree roots at the HTTP span.
-        tree = trace["tree"]
-        assert tree[0]["name"] == "http.search"
-        assert tree[0]["children"]
+    def test_span_shape_does_not_depend_on_batching(
+        self, unbatched_traced_service
+    ):
+        """With batching off a lone task is a batch of one: same tree."""
+        server, _ = unbatched_traced_service
+        _assert_stitched_tree(server)
 
     def test_debug_listing_and_stats(self, traced_service):
         server, _ = traced_service

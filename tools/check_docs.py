@@ -58,6 +58,7 @@ DEFAULT_DOCSTRING_PACKAGES = (
     "src/repro/core",
     "src/repro/graph",
     "src/repro/stats",
+    "src/repro/walk",
 )
 
 #: Inline markdown links: [text](target). Images share the syntax with a

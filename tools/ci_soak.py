@@ -65,7 +65,6 @@ REQUIRED_FAMILIES = {
     "nc_http_request_latency_seconds": "histogram",
     "nc_engine_swaps_total": "counter",
     "nc_worker_batch_size": "histogram",
-    "nc_kernel_active": "gauge",
     "nc_ingest_batches_total": "counter",
     "nc_delta_depth": "gauge",
 }

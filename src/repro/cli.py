@@ -114,6 +114,7 @@ from pathlib import Path
 
 from repro.core.findnc import FindNC, rw_mult
 from repro.datasets.loader import dataset_names, load_dataset
+from repro.errors import ReproError
 from repro.eval.experiments import ExperimentSetting
 from repro.eval.report import experiment_ids, get_experiment
 from repro.graph.statistics import GraphStatistics
@@ -993,7 +994,13 @@ def main(argv: "list[str] | None" = None) -> int:
         "loadgen": _cmd_loadgen,
         "bench-serve": _cmd_bench_serve,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as error:
+        # User errors (unknown entity, bad dump, missing registry) carry
+        # their own hint; a traceback would only bury it.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess tests

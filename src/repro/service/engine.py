@@ -792,7 +792,12 @@ class NCEngine:
         return state
 
     def _worker_pool(self) -> ProcessWorkerPool:
-        """The process pool (created lazily on the first process-mode pin).
+        """The process pool, created on the first request dispatched to it.
+
+        Not at pin time: ``repro serve`` pins before listening but spawns
+        no worker. The first cache-missing process-mode request creates
+        the pool and waits for the worker spawn, imports and snapshot
+        attach before its answer; later requests find the pool warm.
 
         Creation is locked: with micro-batching the dispatch executor is
         wider than the worker count, so a burst of first requests reaches

@@ -48,8 +48,13 @@ attach) reports the job as *stale* and the engine re-dispatches against
 the current version.
 
 Workers start via the ``spawn`` method: a fresh interpreter per worker
-(no inherited locks or thread state), imports paid once at pool start,
-not per request.
+(no inherited locks or thread state). The engine creates the pool on the
+first request it dispatches to it (pinning spawns nothing), and that
+request pays the spawn, each worker's imports (the parent's
+``__main__`` — :mod:`repro.cli` under ``repro serve`` — plus this
+module) and the first snapshot attach; later requests pay none of it.
+Keeping heavy optional imports (``scipy.stats``) off that chain keeps
+the first answer fast (``tests/test_import_graph.py``).
 """
 
 from __future__ import annotations

@@ -4,6 +4,11 @@
 require either a Gaussian distribution or a minimum size of the sample."
 They are implemented here with explicit assumption reporting so the
 ablation benchmarks can show *why* they misbehave on query-sized samples.
+
+``scipy.stats`` is imported inside the two tests, not at module level:
+only the ablation calls them, and the import would otherwise load most of
+scipy into every serving process and worker (guarded by
+``tests/test_import_graph.py``).
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import StatisticsError
 from repro.util.validation import normalize_counts
@@ -69,6 +73,8 @@ def chi_square_test(
     if int(positive.sum()) < 2:
         # A single live cell leaves zero degrees of freedom: vacuous test.
         return ClassicalTestResult(0.0, 1.0, tuple(warnings))
+    from scipy import stats as scipy_stats
+
     statistic, p_value = scipy_stats.chisquare(obs[positive], expected)
     return ClassicalTestResult(float(statistic), float(p_value), tuple(warnings))
 
@@ -113,5 +119,7 @@ def two_proportion_z_test(
         # Both samples unanimous and identical: no evidence of difference.
         return ClassicalTestResult(0.0, 1.0, tuple(warnings))
     z = (p_a - p_b) / math.sqrt(variance)
+    from scipy import stats as scipy_stats
+
     p_value = 2.0 * (1.0 - scipy_stats.norm.cdf(abs(z)))
     return ClassicalTestResult(float(z), float(p_value), tuple(warnings))

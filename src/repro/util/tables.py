@@ -38,6 +38,7 @@ class Table:
     title: str | None = None
 
     def add_row(self, row: Sequence[Any]) -> None:
+        """Append one row; ValueError unless it has one cell per column."""
         if len(row) != len(self.columns):
             raise ValueError(
                 f"row has {len(row)} cells, table has {len(self.columns)} columns"
@@ -45,6 +46,7 @@ class Table:
         self.rows.append(list(row))
 
     def extend(self, rows: Iterable[Sequence[Any]]) -> None:
+        """Append every row of ``rows`` in order (see :meth:`add_row`)."""
         for row in rows:
             self.add_row(row)
 

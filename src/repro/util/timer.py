@@ -27,12 +27,14 @@ class Stopwatch:
     _started_at: float | None = None
 
     def start(self) -> "Stopwatch":
+        """Start a lap; RuntimeError if one is already running."""
         if self._started_at is not None:
             raise RuntimeError("stopwatch already running")
         self._started_at = time.perf_counter()
         return self
 
     def stop(self) -> float:
+        """End the running lap, add it to ``elapsed`` and return its seconds."""
         if self._started_at is None:
             raise RuntimeError("stopwatch not running")
         lap = time.perf_counter() - self._started_at
@@ -42,16 +44,19 @@ class Stopwatch:
         return lap
 
     def reset(self) -> None:
+        """Clear the accumulated time and laps, and drop any running lap."""
         self.elapsed = 0.0
         self.laps.clear()
         self._started_at = None
 
     @property
     def running(self) -> bool:
+        """Whether a lap is in progress."""
         return self._started_at is not None
 
     @property
     def mean_lap(self) -> float:
+        """Mean seconds per completed lap (0.0 before the first lap)."""
         if not self.laps:
             return 0.0
         return self.elapsed / len(self.laps)

@@ -69,6 +69,24 @@ class TestCommands:
         assert code == 0
         assert "RandomWalk" in capsys.readouterr().out
 
+    def test_unknown_entity_is_one_error_line(self, capsys):
+        code = main(
+            [
+                "search",
+                "--dataset",
+                "figure1",
+                "--context-size",
+                "3",
+                "--query",
+                "Angela_Merkl",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "closest: Angela_Merkel" in err
+        assert "Traceback" not in err
+
 
 class TestServeParser:
     def test_serve_defaults(self):

@@ -59,6 +59,7 @@ DEFAULT_DOCSTRING_PACKAGES = (
     "src/repro/graph",
     "src/repro/stats",
     "src/repro/walk",
+    "src/repro/util",
 )
 
 #: Inline markdown links: [text](target). Images share the syntax with a

@@ -93,16 +93,6 @@ Subcommands
             --rate 50 --duration 10 --zipf-s 1.1
         repro loadgen --url http://127.0.0.1:8099 --mode closed \\
             --requests 500 --concurrency 8
-
-``bench-serve``
-    Run the service throughput/latency benchmark — including the
-    thread-vs-process backend comparison, the snapshot-store cold-start
-    phase, the multi-version hot-swap phase, the fault-injection storm,
-    and the Zipf load profile — and write the JSON report (see
-    ``benchmarks/README.md`` for the field reference; compare two
-    reports with ``tools/bench_compare.py``)::
-
-        repro bench-serve --out BENCH_PR7.json
 """
 
 from __future__ import annotations
@@ -487,26 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the report as JSON"
     )
 
-    bench = sub.add_parser(
-        "bench-serve", help="benchmark the query service (latency/throughput)"
-    )
-    bench.add_argument("--dataset", default="yago", choices=dataset_names())
-    bench.add_argument("--scale", type=float, default=2.0)
-    bench.add_argument("--context-size", type=int, default=100)
-    bench.add_argument("--workers", type=int, default=4)
-    bench.add_argument("--distinct", type=int, default=12)
-    bench.add_argument("--repeat", type=int, default=3)
-    bench.add_argument("--seed", type=int, default=11)
-    bench.add_argument(
-        "--out", type=Path, default=None, help="write the JSON report here"
-    )
-    bench.add_argument(
-        "--snapshot",
-        type=Path,
-        default=None,
-        help="snapshot file for the cold-start/serving phases "
-        "(reused when it matches, else compiled here)",
-    )
     return parser
 
 
@@ -958,26 +928,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0 if report.completed else 1
 
 
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.service.bench import print_report, run_service_benchmark
-
-    report = run_service_benchmark(
-        dataset=args.dataset,
-        scale=args.scale,
-        context_size=args.context_size,
-        workers=args.workers,
-        distinct=args.distinct,
-        repeat=args.repeat,
-        seed=args.seed,
-        snapshot_path=str(args.snapshot) if args.snapshot is not None else None,
-    )
-    print_report(report)
-    if args.out is not None:
-        args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -992,7 +942,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "inspect": _cmd_inspect,
         "serve": _cmd_serve,
         "loadgen": _cmd_loadgen,
-        "bench-serve": _cmd_bench_serve,
     }
     try:
         return handlers[args.command](args)

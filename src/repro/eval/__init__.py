@@ -1,6 +1,5 @@
-"""Evaluation: metrics, experiment runners, bootstrap CIs, reporting."""
+"""Evaluation: metrics, experiment runners, reporting."""
 
-from repro.eval.bootstrap import bootstrap_quantile_ci, quantile, quantile_report
 from repro.eval.metrics import (
     best_f1,
     f1_at,
@@ -29,7 +28,6 @@ __all__ = [
     "ExperimentSetting",
     "authors_testcase",
     "best_f1",
-    "bootstrap_quantile_ci",
     "context_size_sweep",
     "dataset_comparison",
     "distribution_figure",
@@ -41,8 +39,6 @@ __all__ = [
     "metrics_comparison",
     "path_count_sweep",
     "precision_at",
-    "quantile",
-    "quantile_report",
     "query_size_sweep",
     "recall_at",
     "significance_comparison",

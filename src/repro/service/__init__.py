@@ -9,8 +9,7 @@ the engine's thread pool; ``executor="process"`` dispatches to a
 :class:`~repro.service.workers.ProcessWorkerPool` over the shared-memory
 snapshot (:mod:`repro.parallel`), scaling distinct-query throughput with
 cores. The stdlib HTTP server (:mod:`repro.service.server`) exposes it
-as a JSON API (``repro serve``); :mod:`repro.service.bench` measures it
-(``repro bench-serve``). Snapshot-backed engines additionally hot-swap
+as a JSON API (``repro serve``). Snapshot-backed engines additionally hot-swap
 between registry versions while serving
 (:meth:`NCEngine.swap_snapshot`, ``POST /v1/admin/reload``,
 ``repro serve --snapshot-dir``). The HTTP surface lives under the

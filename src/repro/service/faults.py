@@ -2,9 +2,9 @@
 
 Production resilience claims are only as good as the faults they were
 tested against. This module provides the injection points the chaos
-tests and the ``fault_storm`` benchmark phase drive: named *fault
-points* threaded through the serving stack — worker loop, shared-memory
-attach, snapshot open, registry refresh, local compute — that are
+tests drive: named *fault points* threaded through the serving stack —
+worker loop, shared-memory attach, snapshot open, registry refresh,
+local compute — that are
 **no-ops by default** and cost one module-attribute read plus one
 ``None`` check per call when nothing is armed.
 

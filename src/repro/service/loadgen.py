@@ -33,8 +33,7 @@ the same traffic. Mid-run control actions (hot swap, fault storm) ride
 along as :class:`LoadEvent` callbacks fired at their scheduled offsets.
 
 Drivers: the ``repro loadgen`` CLI subcommand (in-process engine or a
-live HTTP endpoint) and the ``load_profile`` phase of
-``benchmarks/run_service_bench.py``.
+live HTTP endpoint) and the CI soak, ``tools/ci_soak.py``.
 """
 
 from __future__ import annotations

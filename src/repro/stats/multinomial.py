@@ -57,6 +57,12 @@ from repro.util.rng import RandomSource, ensure_numpy_rng
 #: observed outcome "more likely than itself".
 LOG_TIE_TOLERANCE = 1e-9
 
+#: Most partial outcomes :func:`exact_multinomial_test` enumerates for
+#: one half of the cells; past it the half's arrays would outgrow memory,
+#: so the shape is refused. :func:`multinomial_test` does not consult it:
+#: its own outcome limit hands wide shapes to Monte-Carlo first.
+MAX_EXACT_PARTIALS = 10_000_000
+
 
 @dataclass(frozen=True)
 class MultinomialTestResult:
@@ -197,7 +203,10 @@ def exact_multinomial_test(
     The outcome space is summed without materialising it: a
     meet-in-the-middle over two halves of the cells (see the module
     docstring) selects exactly the outcomes full enumeration would and
-    agrees with it to float rounding.
+    agrees with it to float rounding. The larger half of ``h`` cells
+    still enumerates ``C(N + h, h)`` partial outcomes; past
+    :data:`MAX_EXACT_PARTIALS` this raises :class:`StatisticsError`
+    instead of allocating them (use :func:`multinomial_test`).
     """
     pi_arr, x_arr = _validate(np.asarray(pi), np.asarray(x))
     n = int(x_arr.sum())
@@ -206,6 +215,14 @@ def exact_multinomial_test(
         return MultinomialTestResult(1.0, alpha, 0, pi_arr.size, "degenerate")
     if ((pi_arr == 0) & (x_arr > 0)).any():
         return MultinomialTestResult(0.0, alpha, n, pi_arr.size, "exact")
+    k = int(np.count_nonzero(pi_arr))
+    partials = math.comb(n + k - k // 2, n)
+    if partials > MAX_EXACT_PARTIALS:
+        raise StatisticsError(
+            f"exact test over N={n} observations and k={k} cells needs "
+            f"{partials:.2e} partial outcomes per half (limit "
+            f"{MAX_EXACT_PARTIALS:.0e}); use multinomial_test"
+        )
     return _exact_validated(pi_arr, x_arr, n, alpha)
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the exact / Monte-Carlo multinomial test."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import stats as scipy_stats
 
 from repro.errors import StatisticsError
 from repro.stats.multinomial import (
+    MAX_EXACT_PARTIALS,
     exact_multinomial_test,
     log_multinomial_pmf,
     montecarlo_multinomial_test,
@@ -295,6 +297,29 @@ class TestDifferentialKernel:
         p_values = {exact_multinomial_test(pi, rng.permutation(x)).p_value for _ in range(5)}
         expected, _ = _enumerated_test(pi, x)
         assert max(abs(p - expected) for p in p_values) <= 1e-12 * expected
+
+    @pytest.mark.parametrize(("n", "k"), [(12, 40), (6, 200)])
+    def test_infeasible_shape_raises_before_allocating(self, n, k):
+        """C(n + h, h) partials for the larger half h = 20 or 100: about
+        2.3e8 and 1.6e9, far past the limit."""
+        pi = np.full(k, 1.0 / k)
+        x = np.zeros(k, dtype=np.int64)
+        x[:n] = 1
+        started = time.perf_counter()
+        with pytest.raises(StatisticsError, match="partial outcomes"):
+            exact_multinomial_test(pi, x)
+        assert time.perf_counter() - started < 1.0
+
+    def test_widest_feasible_shape_still_answers(self):
+        """n=5 over k=120 cells: 8.3e6 partials, under the limit."""
+        k = 120
+        assert math.comb(5 + k // 2, 5) <= MAX_EXACT_PARTIALS
+        pi = np.full(k, 1.0 / k)
+        x = np.zeros(k, dtype=np.int64)
+        x[:5] = 1
+        result = exact_multinomial_test(pi, x)
+        assert result.method == "exact"
+        assert 0.0 < result.p_value <= 1.0
 
     def test_random_small_shapes(self):
         rng = np.random.default_rng(13)

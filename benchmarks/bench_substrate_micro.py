@@ -119,15 +119,23 @@ class TestStatsKernels:
         assert result.method == "exact"
         assert 0.0 <= result.p_value <= 1.0
 
-    def test_montecarlo_multinomial_speed(self, benchmark):
-        pi = [1 / 30] * 30
-        x = [0] * 30
-        x[0], x[1], x[2] = 3, 1, 1
+    @pytest.mark.parametrize(
+        ("n", "k"),
+        [(7, 156), (5, 56), (40, 40), (150, 4)],
+        ids=lambda v: str(v),
+    )
+    def test_montecarlo_multinomial_speed(self, benchmark, n, k):
+        """Two served shapes (n < k: categorical draws) and two with
+        n >= k (dense count vectors), at the served 20,000 samples."""
+        rng = np.random.default_rng(n * 1000 + k)
+        pi = rng.dirichlet(np.ones(k))
+        x = rng.multinomial(n, rng.dirichlet(np.ones(k)))
 
         result = benchmark(
             lambda: montecarlo_multinomial_test(pi, x, samples=20_000, rng=3)
         )
-        assert 0.0 <= result.p_value <= 1.0
+        assert result.method == "montecarlo"
+        assert 0.0 < result.p_value <= 1.0
 
 
 class TestPipelineKernels:

@@ -40,6 +40,17 @@ by binary search how many partners keep the outcome at most as likely as
 enumerating every outcome (:func:`compositions_array`, the reference the
 tests compare against), in ``O(k)`` interpreted steps whose arrays hold
 the halves' partial outcomes instead of the outcome space.
+
+The Monte-Carlo estimate counts how many of ``samples`` draws from
+``Mult(N, pi)`` are at most as likely as ``x``. How a draw is made depends
+only on ``N`` and the number ``k`` of positive cells. With fewer
+observations than cells (``N < k``, every served wide shape) a draw is
+``N`` categorical cell indices by inverse-CDF search, scored without a
+count vector, so a draw costs ``O(N log k)`` instead of ``O(k)``.
+Otherwise a draw is a dense ``k``-cell count vector from
+``Generator.multinomial``. Both give the same distribution of outcomes;
+``tests/test_stats_multinomial.py`` calibrates each against the exact
+test.
 """
 
 from __future__ import annotations
@@ -326,29 +337,91 @@ def montecarlo_multinomial_test(
     zero — the exact ``Pr_s`` cannot be zero either when ``Pr(x) > 0``
     (the observed outcome itself is always counted).
     """
-    if samples < 1:
-        raise StatisticsError(f"samples must be >= 1, got {samples}")
     pi_arr, x_arr = _validate(np.asarray(pi), np.asarray(x))
     n = int(x_arr.sum())
     if n == 0:
         return MultinomialTestResult(1.0, alpha, 0, pi_arr.size, "degenerate")
     if ((pi_arr == 0) & (x_arr > 0)).any():
         return MultinomialTestResult(0.0, alpha, n, pi_arr.size, "montecarlo")
-    generator = ensure_numpy_rng(rng)
-    log_px = log_multinomial_pmf(pi_arr, x_arr)
-    threshold = log_px + LOG_TIE_TOLERANCE
-    draws = generator.multinomial(n, pi_arr, size=samples)
-    # Vectorized log-pmf over all draws.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pi = np.where(pi_arr > 0, np.log(np.maximum(pi_arr, 1e-300)), 0.0)
-    log_probs = (
-        math.lgamma(n + 1)
-        + draws @ log_pi
-        - _lgamma_rows(draws)
-    )
+    return _montecarlo_validated(pi_arr, x_arr, n, alpha, samples, rng)
+
+
+def _montecarlo_validated(
+    pi_arr: np.ndarray,
+    x_arr: np.ndarray,
+    n: int,
+    alpha: float,
+    samples: int,
+    rng: RandomSource,
+) -> MultinomialTestResult:
+    """Monte-Carlo core on pre-validated inputs (see :func:`multinomial_test`).
+
+    ``x`` must place no count on a zero cell. The sampler depends only on
+    ``n`` and the number ``k`` of positive cells: with fewer observations
+    than cells (``n < k``) a draw is ``n`` categorical cell indices
+    (:func:`_categorical_log_pmfs`), otherwise a dense ``k``-cell count
+    vector (:func:`_dense_log_pmfs`).
+    """
+    if samples < 1:
+        raise StatisticsError(f"samples must be >= 1, got {samples}")
+    positive = pi_arr > 0
+    # A zero cell is never drawn; log-weight 0 keeps the dense sampler's
+    # ``0 * log 0`` terms at 0.
+    log_pi = np.log(pi_arr, out=np.zeros_like(pi_arr), where=positive)
+    sample = _categorical_log_pmfs if n < np.count_nonzero(positive) else _dense_log_pmfs
+    log_probs = sample(ensure_numpy_rng(rng), pi_arr, log_pi, n, samples)
+    threshold = log_multinomial_pmf(pi_arr, x_arr) + LOG_TIE_TOLERANCE
     hits = int(np.count_nonzero(log_probs <= threshold))
     p_value = (hits + 1) / (samples + 1)
     return MultinomialTestResult(min(p_value, 1.0), alpha, n, pi_arr.size, "montecarlo")
+
+
+def _dense_log_pmfs(
+    generator: np.random.Generator, pi: np.ndarray, log_pi: np.ndarray, n: int, samples: int
+) -> np.ndarray:
+    """Log-probabilities of ``samples`` draws, each a count vector over every cell."""
+    draws = generator.multinomial(n, pi, size=samples)
+    return math.lgamma(n + 1) + draws @ log_pi - _lgamma_rows(draws)
+
+
+def _categorical_log_pmfs(
+    generator: np.random.Generator, pi: np.ndarray, log_pi: np.ndarray, n: int, samples: int
+) -> np.ndarray:
+    """Log-probabilities of ``samples`` draws, each ``n`` categorical cell indices.
+
+    ``log Pr(y) = lgamma(n + 1) + sum_j log pi[c_j] - sum_i lgamma(y_i + 1)``
+    for a draw's sorted cells ``c_1 <= ... <= c_n``, without a count
+    vector: the ``r``-th copy of a cell in a row has run-rank ``r``, and
+    the log run-ranks of a cell's ``y_i`` copies sum to ``lgamma(y_i + 1)``.
+    """
+    cells = _categorical_cells(generator, pi, n, samples)
+    positions = np.arange(n)
+    run_start = np.zeros(cells.shape, dtype=np.int64)
+    run_start[:, 1:] = np.where(cells[:, 1:] != cells[:, :-1], positions[1:], 0)
+    np.maximum.accumulate(run_start, axis=1, out=run_start)
+    log_rank = np.log(np.arange(1, n + 1))
+    return (
+        math.lgamma(n + 1)
+        + log_pi[cells].sum(axis=1)
+        - log_rank[positions - run_start].sum(axis=1)
+    )
+
+
+def _categorical_cells(
+    generator: np.random.Generator, pi: np.ndarray, n: int, samples: int
+) -> np.ndarray:
+    """``samples`` rows of ``n`` cell indices drawn from ``pi``, each row sorted.
+
+    Inverse-CDF sampling: a uniform ``u`` picks the first cell whose
+    cumulative mass exceeds ``u * total``. A zero cell spans an empty
+    interval of the CDF, so it is never picked. The pick is monotone in
+    ``u``, so sorting each row's uniforms sorts its cells, and the binary
+    searches run on ascending keys.
+    """
+    cdf = np.cumsum(pi)
+    uniforms = generator.random((samples, n))
+    uniforms.sort(axis=1)
+    return np.searchsorted(cdf, uniforms * cdf[-1], side="right")
 
 
 def _lgamma_rows(draws: np.ndarray) -> np.ndarray:
@@ -376,13 +449,10 @@ def multinomial_test(
     """
     pi_arr, x_arr = _validate(np.asarray(pi), np.asarray(x))
     n = int(x_arr.sum())
-    k = int(np.count_nonzero(pi_arr > 0))
     if n == 0:
         return MultinomialTestResult(1.0, alpha, 0, pi_arr.size, "degenerate")
-    if k == 0 or ((pi_arr == 0) & (x_arr > 0)).any():
+    if ((pi_arr == 0) & (x_arr > 0)).any():
         return MultinomialTestResult(0.0, alpha, n, pi_arr.size, "exact")
-    if number_of_compositions(n, k) <= max_exact_outcomes:
+    if number_of_compositions(n, int(np.count_nonzero(pi_arr))) <= max_exact_outcomes:
         return _exact_validated(pi_arr, x_arr, n, alpha)
-    return montecarlo_multinomial_test(
-        pi_arr, x_arr, alpha=alpha, samples=samples, rng=rng
-    )
+    return _montecarlo_validated(pi_arr, x_arr, n, alpha, samples, rng)

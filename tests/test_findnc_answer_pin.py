@@ -4,10 +4,19 @@
 width-3–5 queries on the synthetic YAGO (scale 2, context 100, PPR context
 as the query service runs it) together with every evaluated label's
 answer: notable or not, channel, each channel's test ``method`` and
-p-value. The recorded answers came from the outcome-table kernel that
-enumerated every outcome; any later reformulation of the exact test must
-reproduce them — same labels, channels and methods, p-values within
-``1e-12`` relative.
+p-value. Every run must reproduce them — same labels, channels and
+methods, p-values within ``1e-12`` relative. Where each row kind comes
+from:
+
+* ``exact`` rows: the outcome-table kernel that enumerated every outcome.
+  Any reformulation of the exact test must reproduce them.
+* ``uninformative`` rows (p-value 1): the discriminator's identity-free
+  check, which runs no test at all.
+* ``montecarlo`` rows: the categorical sampler (``n < k`` cells) at each
+  case's recorded seed. They are estimates, pinned to that sampler's
+  draws, so a change to how the sampler draws re-records these p-values
+  and nothing else; ``tests/test_stats_multinomial.py`` checks the
+  sampler's calibration against the exact test.
 
 Regenerate the queries and answers (only ever from a kernel already known
 to be right)::

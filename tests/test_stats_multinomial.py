@@ -126,6 +126,99 @@ class TestMonteCarloTest:
         assert result.p_value == 0.0
 
 
+def _calibration_case(k, n, seed, *, zeros=(), scale=1.0, typical=True):
+    """``pi`` over ``k`` cells (``zeros`` set to 0, total ``scale``) and ``n``
+    counts drawn from ``pi`` itself (``typical``) or from elsewhere."""
+    rng = np.random.default_rng(seed)
+    pi = rng.dirichlet(np.full(k, 0.7))
+    pi[list(zeros)] = 0.0
+    pi /= pi.sum()
+    x = rng.multinomial(n, pi if typical else rng.dirichlet(np.ones(k)))
+    x[list(zeros)] = 0
+    return pi * scale, x
+
+
+#: Exact-feasible shapes on both sides of the sampler rule, each flagged
+#: with whether the rule picks categorical draws (``n`` below the number
+#: of positive cells) over dense count vectors. ``off_sum`` pis total 1
+#: only within 1e-6.
+CALIBRATION_CASES = {
+    "categorical_n3_k8": (True, _calibration_case(8, 3, 1)),
+    "categorical_n4_k30": (True, _calibration_case(30, 4, 2, typical=False)),
+    "categorical_n5_k12_zero_cells": (
+        True, _calibration_case(18, 5, 3, zeros=(0, 5, 9, 12, 16, 17))),
+    "categorical_n4_k5_off_sum": (True, _calibration_case(5, 4, 4, scale=1 + 8e-7)),
+    "dense_n9_k6": (False, _calibration_case(6, 9, 5)),
+    "dense_n12_k3": (False, _calibration_case(3, 12, 6, typical=False)),
+    "dense_n6_k6_off_sum": (False, _calibration_case(6, 6, 7, scale=1 - 8e-7)),
+    "dense_n5_k4_zero_cells": (False, _calibration_case(8, 5, 8, zeros=(0, 2, 3, 7))),
+}
+
+
+class TestMonteCarloCalibration:
+    """Both Monte-Carlo samplers against the exact test, seed by seed."""
+
+    SAMPLES = 20_000
+    SEEDS = range(20)
+
+    @pytest.mark.parametrize("sampler", ["_categorical_log_pmfs", "_dense_log_pmfs"])
+    @pytest.mark.parametrize("name", sorted(CALIBRATION_CASES))
+    def test_estimates_bracket_the_exact_p_value(self, name, sampler, monkeypatch):
+        from repro.stats import multinomial
+
+        # Run every shape through one sampler, whichever side of the rule
+        # the shape falls on.
+        forced = getattr(multinomial, sampler)
+        monkeypatch.setattr(multinomial, "_categorical_log_pmfs", forced)
+        monkeypatch.setattr(multinomial, "_dense_log_pmfs", forced)
+        _, (pi, x) = CALIBRATION_CASES[name]
+        p = exact_multinomial_test(pi, x).p_value
+        samples = self.SAMPLES
+        # Binomial noise of the hit count, plus the add-one floor: at
+        # p ~ 0 the estimate sits exactly 1 / (samples + 1) away.
+        bound = 4 * math.sqrt(p * (1 - p) / samples) + 1 / (samples + 1)
+        for seed in self.SEEDS:
+            result = multinomial_test(pi, x, max_exact_outcomes=0, samples=samples, rng=seed)
+            assert result.method == "montecarlo"
+            assert abs(result.p_value - p) <= bound, (seed, result.p_value, p)
+
+    def test_sampler_is_chosen_by_n_below_k(self, monkeypatch):
+        from repro.stats import multinomial
+
+        used = []
+        for sampler in ("_categorical_log_pmfs", "_dense_log_pmfs"):
+            draw = getattr(multinomial, sampler)
+            monkeypatch.setattr(multinomial, sampler,
+                                lambda *args, draw=draw, sampler=sampler:
+                                used.append(sampler) or draw(*args))
+        for name, (categorical, (pi, x)) in sorted(CALIBRATION_CASES.items()):
+            used.clear()
+            multinomial_test(pi, x, max_exact_outcomes=0, samples=100, rng=0)
+            assert used == ["_categorical_log_pmfs" if categorical else "_dense_log_pmfs"], name
+
+    def test_zero_cells_are_never_drawn(self):
+        from repro.stats.multinomial import _categorical_cells
+
+        pi = np.array([0.0, 0.0, 1e-3, 0.0, 0.5, 0.0, 0.0, 0.499, 0.0, 0.0])
+        for seed in self.SEEDS:
+            cells = _categorical_cells(np.random.default_rng(seed), pi, 6, 5_000)
+            assert cells.shape == (5_000, 6)
+            assert (pi[cells] > 0).all(), seed
+            assert (np.diff(cells, axis=1) >= 0).all()  # rows come sorted
+
+    def test_categorical_log_pmfs_score_the_drawn_counts(self):
+        """Run-ranks give each draw the log-pmf of its count vector."""
+        from repro.stats.multinomial import _categorical_cells, _categorical_log_pmfs
+
+        pi = np.array([0.6, 0.0, 0.3, 0.05, 0.05])
+        log_pi = np.log(pi, out=np.zeros_like(pi), where=pi > 0)
+        cells = _categorical_cells(np.random.default_rng(1), pi, 9, 500)
+        got = _categorical_log_pmfs(np.random.default_rng(1), pi, log_pi, 9, 500)
+        expected = [log_multinomial_pmf(pi, np.bincount(row, minlength=pi.size))
+                    for row in cells]
+        assert np.allclose(got, expected, rtol=0, atol=1e-12)
+
+
 class TestDispatch:
     def test_small_case_uses_exact(self):
         result = multinomial_test([0.5, 0.5], [3, 1])
@@ -175,6 +268,8 @@ class TestValidation:
     def test_bad_sample_count_rejected(self):
         with pytest.raises(StatisticsError):
             montecarlo_multinomial_test([0.5, 0.5], [1, 1], samples=0)
+        with pytest.raises(StatisticsError, match="samples"):
+            multinomial_test([0.5, 0.5], [1, 1], max_exact_outcomes=0, samples=0)
 
 
 class TestVectorizedEnumeration:

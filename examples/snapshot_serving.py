@@ -24,10 +24,10 @@ import os
 import tempfile
 import time
 
-from repro import NCEngine
 from repro.datasets import load_dataset, to_snapshot
 from repro.datasets.loader import clear_dataset_cache
 from repro.disk import open_snapshot_view
+from repro.service import EngineConfig, NCEngine
 
 
 def compile_snapshot(path: str) -> None:
@@ -45,7 +45,8 @@ def serve_from_snapshot(path: str) -> None:
     opened = time.perf_counter() - started
     print(f"\n[2] mmap cold start: {view.summary()} in {opened * 1e3:.1f}ms")
 
-    with NCEngine(view, context_size=50, seed=11) as engine:
+    config = EngineConfig(context_size=50, seed=11)
+    with NCEngine(view, config=config) as engine:
         engine.pin()
         result = engine.search(["angela merkel", "barack obama"])
         print("    notable characteristics for {angela merkel, barack obama}:")

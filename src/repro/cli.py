@@ -68,11 +68,10 @@ Subcommands
     cold-start it from a compiled snapshot (one mmap, no parse, no
     ``KnowledgeGraph`` in the serving process), or serve a snapshot
     registry with hot swaps (``POST /v1/admin/reload``, optional mtime
-    polling). The HTTP surface lives under ``/v1/`` (unprefixed paths
-    stay as deprecated aliases); ``GET /v1/metrics`` exports Prometheus
-    text. Resilience knobs — a default request deadline, an
-    admission-control budget, and the crash-retry budget — are flags;
-    SIGTERM/SIGINT drain in-flight requests (bounded by
+    polling). Every HTTP route lives under ``/v1/``; ``GET /v1/metrics``
+    exports Prometheus text. Resilience knobs — a default request
+    deadline, an admission-control budget, and the crash-retry budget —
+    are flags; SIGTERM/SIGINT drain in-flight requests (bounded by
     ``--drain-timeout``) before the process exits::
 
         repro serve --dataset yago --port 8099
@@ -350,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="admission-control budget: distinct computations allowed in "
-        "flight before /search sheds with 503 + Retry-After (unset = "
+        "flight before /v1/search sheds with 503 + Retry-After (unset = "
         "unbounded)",
     )
     serve.add_argument(

@@ -194,22 +194,59 @@ class CircuitBreaker:
 class EngineConfig:
     """Every :class:`NCEngine` tuning knob, validated in one place.
 
-    The engine's constructor historically grew one keyword argument per
-    PR (pipeline defaults, cache size, executor choice, resilience
-    budgets, breaker tuning); this dataclass is their single home. The
-    CLI's ``serve`` flags build one (:func:`repro.cli.main`), embedders
-    construct one directly — ``NCEngine(graph, config=cfg)`` — and the
-    legacy per-kwarg form ``NCEngine(graph, max_workers=8, ...)`` still
-    works: the engine assembles the config from the kwargs itself.
+    Pipeline defaults, cache size, executor choice, resilience budgets
+    and breaker tuning all live here, and the engine reads them from
+    ``engine.config``. The CLI's ``serve`` flags build one
+    (:func:`repro.cli.main`); embedders construct one directly and pass
+    it as ``NCEngine(graph, config=cfg)``.
 
-    Fields mirror the pre-consolidation constructor arguments exactly
-    (same names, same defaults, same validation messages), plus
-    ``snapshot_source`` — a human-readable description of where the
-    served graph came from (``"dataset:yago"``, ``"snapshot:/path"``,
-    ``"registry:/dir"``), surfaced by ``/v1/healthz`` so pollers and the
-    load generator can assert which snapshot served a run. When unset it
-    defaults to ``"snapshot"`` for frozen views and ``"live-graph"``
-    otherwise.
+    Fields
+    ------
+    context_size / alpha / damping / iterations:
+        Defaults of the served pipeline (per-request ``context_size`` and
+        ``alpha`` overrides are part of the cache key).
+    discriminator_params:
+        Extra :class:`MultinomialDiscriminator` keyword arguments (e.g.
+        ``{"min_none_share": 0.1}``); fingerprinted into the cache key.
+    cache_size / max_workers:
+        LRU capacity and executor width. With ``executor="process"``,
+        ``max_workers`` is also the worker-process count (the thread
+        pool then only dispatches, one thread per in-flight request).
+    executor:
+        ``"thread"`` (default) computes on the executor threads;
+        ``"process"`` computes on a shared-memory worker-process pool —
+        the backend that scales *distinct*-query throughput with cores
+        (see :mod:`repro.service.workers`).
+    seed:
+        Base seed mixed into the per-request deterministic RNG derivation.
+    request_timeout:
+        Default per-request deadline in seconds (``None`` = no deadline).
+        Per-call ``timeout`` arguments override it; expiry raises
+        :class:`~repro.errors.DeadlineExceededError` (HTTP 504).
+    max_pending:
+        Admission-control budget: the maximum number of *distinct*
+        computations allowed in flight before :meth:`NCEngine.submit`
+        sheds with :class:`~repro.errors.EngineSaturatedError` (HTTP 503
+        + ``Retry-After``). Cache hits and coalesced requests are always
+        admitted. ``None`` = unbounded (the pre-resilience behaviour).
+    retries:
+        Per-request retry budget for retriable backend failures
+        (:class:`~repro.service.workers.WorkerCrashError`, stale
+        segments) in process mode; compute is pure, so re-dispatch is
+        always safe. Crash retries back off exponentially from
+        ``retry_backoff`` seconds with ±50% jitter.
+    breaker_threshold / breaker_reset_s:
+        Circuit breaker over the worker pool: ``breaker_threshold``
+        consecutive crash failures trip it open and the engine serves
+        the degraded thread-local fallback; after ``breaker_reset_s``
+        one half-open probe per window decides recovery.
+    snapshot_source:
+        A human-readable description of where the served graph came
+        from (``"dataset:yago"``, ``"snapshot:/path"``,
+        ``"registry:/dir"``), surfaced by ``/v1/healthz`` so pollers and
+        the load generator can assert which snapshot served a run. When
+        unset it defaults to ``"snapshot"`` for frozen views and
+        ``"live-graph"`` otherwise.
 
     Instances are frozen: engine behaviour cannot be reconfigured after
     construction (use :func:`dataclasses.replace` to derive variants).
@@ -514,59 +551,15 @@ class EngineStats:
 class NCEngine:
     """Serve concurrent FindNC requests over one :class:`KnowledgeGraph`.
 
-    >>> # engine = NCEngine(graph, context_size=50, max_workers=4)
     >>> # engine = NCEngine(graph, config=EngineConfig(executor="process"))
     >>> # result = engine.search(["Angela_Merkel", "Barack_Obama"])
     >>> # engine.stats().cache_hits
 
-    Construction takes either ``config=`` (an :class:`EngineConfig`,
-    the canonical form) or the individual keyword arguments below
-    (the back-compat form — the engine assembles the config itself);
-    mixing both raises ``ValueError``. Validation lives in
-    :meth:`EngineConfig.__post_init__` either way. Every engine also
-    owns a :class:`~repro.service.metrics.ServiceMetrics` bundle
+    Construction takes one :class:`EngineConfig` as ``config=``
+    (``None`` means ``EngineConfig()``), which documents and validates
+    the settings. Every engine also owns a
+    :class:`~repro.service.metrics.ServiceMetrics` bundle
     (``engine.metrics``) the HTTP server renders at ``GET /v1/metrics``.
-
-    Parameters
-    ----------
-    context_size / alpha / damping / iterations:
-        Defaults of the served pipeline (per-request ``context_size`` and
-        ``alpha`` overrides are part of the cache key).
-    discriminator_params:
-        Extra :class:`MultinomialDiscriminator` keyword arguments (e.g.
-        ``{"min_none_share": 0.1}``); fingerprinted into the cache key.
-    cache_size / max_workers:
-        LRU capacity and executor width. With ``executor="process"``,
-        ``max_workers`` is also the worker-process count (the thread
-        pool then only dispatches, one thread per in-flight request).
-    executor:
-        ``"thread"`` (default) computes on the executor threads;
-        ``"process"`` computes on a shared-memory worker-process pool —
-        the backend that scales *distinct*-query throughput with cores
-        (see :mod:`repro.service.workers`).
-    seed:
-        Base seed mixed into the per-request deterministic RNG derivation.
-    request_timeout:
-        Default per-request deadline in seconds (``None`` = no deadline).
-        Per-call ``timeout`` arguments override it; expiry raises
-        :class:`~repro.errors.DeadlineExceededError` (HTTP 504).
-    max_pending:
-        Admission-control budget: the maximum number of *distinct*
-        computations allowed in flight before :meth:`submit` sheds with
-        :class:`~repro.errors.EngineSaturatedError` (HTTP 503 +
-        ``Retry-After``). Cache hits and coalesced requests are always
-        admitted. ``None`` = unbounded (the pre-resilience behaviour).
-    retries:
-        Per-request retry budget for retriable backend failures
-        (:class:`~repro.service.workers.WorkerCrashError`, stale
-        segments) in process mode; compute is pure, so re-dispatch is
-        always safe. Crash retries back off exponentially from
-        ``retry_backoff`` seconds with ±50% jitter.
-    breaker_threshold / breaker_reset_s:
-        Circuit breaker over the worker pool: ``breaker_threshold``
-        consecutive crash failures trip it open and the engine serves
-        the degraded thread-local fallback; after ``breaker_reset_s``
-        one half-open probe per window decides recovery.
 
     ``search``/``submit``/``request`` are safe to call from many threads.
     Do not call them from inside the engine's own executor (a worker
@@ -578,39 +571,14 @@ class NCEngine:
         graph: KnowledgeGraph,
         *,
         config: "EngineConfig | None" = None,
-        **kwargs,
     ) -> None:
-        if config is not None:
-            if kwargs:
-                raise ValueError(
-                    "pass either config= or individual engine kwargs, not "
-                    f"both (got config plus {sorted(kwargs)})"
-                )
-            if not isinstance(config, EngineConfig):
-                raise TypeError(
-                    f"config must be an EngineConfig, got {type(config).__name__}"
-                )
-        else:
-            # Back-compat kwargs path: NCEngine(graph, max_workers=8, ...)
-            # assembles (and validates) the config itself. Unknown kwargs
-            # raise TypeError from the dataclass constructor, as before.
-            config = EngineConfig(**kwargs)
+        if config is None:
+            config = EngineConfig()
+        elif not isinstance(config, EngineConfig):
+            raise TypeError(
+                f"config must be an EngineConfig, got {type(config).__name__}"
+            )
         self.config = config
-        context_size = config.context_size
-        alpha = config.alpha
-        damping = config.damping
-        iterations = config.iterations
-        discriminator_params = config.discriminator_params
-        cache_size = config.cache_size
-        max_workers = config.max_workers
-        executor = config.executor
-        seed = config.seed
-        request_timeout = config.request_timeout
-        max_pending = config.max_pending
-        retries = config.retries
-        retry_backoff = config.retry_backoff
-        breaker_threshold = config.breaker_threshold
-        breaker_reset_s = config.breaker_reset_s
         self._graph = graph
         #: A frozen graph (``SnapshotGraphView`` over an mmapped snapshot
         #: file or an attached shm segment) never mutates: the engine pins
@@ -618,14 +586,9 @@ class NCEngine:
         #: disk-backed view in process mode — ships workers the snapshot
         #: *path* instead of publishing a redundant shm copy.
         self._frozen = bool(getattr(graph, "frozen", False))
-        self.context_size = context_size
-        self.alpha = alpha
-        self.damping = damping
-        self.iterations = iterations
         self._discriminator_fingerprint = tuple(
-            sorted((discriminator_params or {}).items())
+            sorted((config.discriminator_params or {}).items())
         )
-        self._seed = seed
         self._started_monotonic = time.monotonic()
         self.snapshot_source = config.snapshot_source or (
             "snapshot" if self._frozen else "live-graph"
@@ -637,29 +600,27 @@ class NCEngine:
             sample_rate=config.trace_sample_rate,
             slow_query_ms=config.slow_query_ms,
             capacity=config.trace_buffer,
-            seed=seed ^ 0x7ACE,
+            seed=config.seed ^ 0x7ACE,
         )
         self._cache = ResultCache(
-            maxsize=cache_size, on_event=self.metrics.cache_event
+            maxsize=config.cache_size, on_event=self.metrics.cache_event
         )
         # In process mode with micro-batching, the thread pool only parks
         # dispatching threads while their batch members wait on workers —
         # widen it so a full batch per worker can be in flight at once
         # (otherwise the dispatch layer itself would cap batch sizes at
         # max_workers).
-        dispatch_width = max_workers
-        if executor == "process" and config.max_batch > 1:
-            dispatch_width = max_workers * config.max_batch
+        dispatch_width = config.max_workers
+        if config.executor == "process" and config.max_batch > 1:
+            dispatch_width = config.max_workers * config.max_batch
         self._executor = ThreadPoolExecutor(
             max_workers=dispatch_width, thread_name_prefix="nc-query"
         )
-        self.max_workers = max_workers
-        self.executor = executor
         self._pool: ProcessWorkerPool | None = None
         self._pool_lock = threading.Lock()
         self._worker_config = WorkerConfig(
-            damping=self.damping,
-            iterations=self.iterations,
+            damping=config.damping,
+            iterations=config.iterations,
             excluded_labels=config.excluded_labels,
             include_inverse_labels=config.include_inverse_labels,
             none_bucket=config.none_bucket,
@@ -669,14 +630,10 @@ class NCEngine:
         self._pinned: _PinnedState | None = None
         self._flight_lock = threading.Lock()
         self._inflight: dict[tuple, Future] = {}
-        self.request_timeout = request_timeout
-        self._max_pending = max_pending
-        self._retries = retries
-        self._retry_backoff = retry_backoff
-        self._retry_rng = random.Random(seed ^ 0x5EED_BACC)
+        self._retry_rng = random.Random(config.seed ^ 0x5EED_BACC)
         self._retry_rng_lock = threading.Lock()
         self._breaker = CircuitBreaker(
-            threshold=breaker_threshold, reset_s=breaker_reset_s
+            threshold=config.breaker_threshold, reset_s=config.breaker_reset_s
         )
         self._requests = 0
         self._hits = 0
@@ -809,7 +766,7 @@ class NCEngine:
             with self._pool_lock:
                 if self._pool is None:
                     self._pool = ProcessWorkerPool(
-                        self.max_workers,
+                        self.config.max_workers,
                         batch_window_ms=self.config.batch_window_ms,
                         max_batch=self.config.max_batch,
                         on_event=self.metrics.worker_event,
@@ -846,8 +803,8 @@ class NCEngine:
             try:
                 selector = RandomWalkContext(
                     self._graph,
-                    damping=self.damping,
-                    iterations=self.iterations,
+                    damping=self.config.damping,
+                    iterations=self.config.iterations,
                     pin=True,
                 )
                 # Freeze the transition matrix in the parent — thread mode
@@ -897,18 +854,18 @@ class NCEngine:
         snapshot = graph.compiled()
         selector = RandomWalkContext(
             graph,
-            damping=self.damping,
-            iterations=self.iterations,
+            damping=self.config.damping,
+            iterations=self.config.iterations,
             pin=True,
         )
         attached = getattr(graph, "_attached", None)
         stored = attached.transition() if attached is not None else None
         if stored is not None:
             selector.warm_from(stored)
-        elif self.executor == "thread":
+        elif self.config.executor == "thread":
             selector.warm()
         shared: "SharedSnapshot | None" = None
-        if self.executor == "process":
+        if self.config.executor == "process":
             if attached is not None and hasattr(attached, "publication"):
                 shared = attached.publication()
             else:  # pragma: no cover - shm-backed view served directly
@@ -933,7 +890,7 @@ class NCEngine:
         matches the snapshot (a torn retry-exhausted pin publishes
         without it and workers rebuild, the pre-PR-4 behaviour).
         """
-        if self.executor != "process":
+        if self.config.executor != "process":
             return None
         transition = selector.frozen_transition()
         if transition.shape[0] != snapshot.node_count:
@@ -1101,7 +1058,7 @@ class NCEngine:
 
     def _rng_seed(self, key: tuple) -> int:
         """A deterministic 63-bit seed derived from the cache key + base seed."""
-        material = repr((key[1:], self._seed)).encode()  # version-independent
+        material = repr((key[1:], self.config.seed)).encode()  # version-independent
         digest = hashlib.blake2b(material, digest_size=8).digest()
         return int.from_bytes(digest, "big") >> 1
 
@@ -1121,10 +1078,10 @@ class NCEngine:
                 # engine.submit span's end and this start is executor
                 # queueing delay, visible in the tree.
                 compute_span = trace.start_span(
-                    "engine.compute", backend=self.executor
+                    "engine.compute", backend=self.config.executor
                 )
             started = time.perf_counter()
-            if self.executor == "process":
+            if self.config.executor == "process":
                 result = self._compute_remote(
                     key, query_ids, k, alpha, state, deadline,
                     trace=trace, trace_span=compute_span,
@@ -1134,13 +1091,13 @@ class NCEngine:
             self._cache.put(key, result)
             with self._flight_lock:
                 self._computed += 1
-            self.metrics.computed.inc(backend=self.executor)
+            self.metrics.computed.inc(backend=self.config.executor)
             self.metrics.compute_latency.observe(
                 time.perf_counter() - started,
                 exemplar=(
                     {"trace_id": trace.trace_id} if trace is not None else None
                 ),
-                backend=self.executor,
+                backend=self.config.executor,
             )
             return result
         except DeadlineExceededError:
@@ -1208,8 +1165,8 @@ class NCEngine:
         request's whole remaining budget.
         """
         pool = self._worker_pool()
-        attempts = self._retries + 1
-        backoff = self._retry_backoff
+        attempts = self.config.retries + 1
+        backoff = self.config.retry_backoff
         last_crash: "WorkerCrashError | None" = None
         for attempt in range(attempts):
             shared = state.shared
@@ -1339,7 +1296,7 @@ class NCEngine:
         if self._closed:
             raise RuntimeError("engine is closed")
         if timeout is None:
-            timeout = self.request_timeout
+            timeout = self.config.request_timeout
         elif timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         deadline = time.monotonic() + timeout if timeout is not None else None
@@ -1360,7 +1317,7 @@ class NCEngine:
             state.lifecycle.release()
         transferred = False
         submit_span = (
-            trace.start_span("engine.submit", executor=self.executor)
+            trace.start_span("engine.submit", executor=self.config.executor)
             if trace is not None
             else None
         )
@@ -1374,8 +1331,8 @@ class NCEngine:
                     fresh.lifecycle.acquire()
                     state.lifecycle.release()
                     state = fresh
-            k = context_size if context_size is not None else self.context_size
-            a = alpha if alpha is not None else self.alpha
+            k = context_size if context_size is not None else self.config.context_size
+            a = alpha if alpha is not None else self.config.alpha
             key = (
                 state.snapshot.version,
                 frozenset(query_ids),
@@ -1383,7 +1340,7 @@ class NCEngine:
                 a,
                 self._discriminator_fingerprint,
             )
-            self.metrics.engine_requests.inc(executor=self.executor)
+            self.metrics.engine_requests.inc(executor=self.config.executor)
             if trace is not None:
                 trace.root.set(version_id=state.snapshot.version)
             with self._flight_lock:
@@ -1404,8 +1361,8 @@ class NCEngine:
                         trace.root.set(cache="coalesced")
                     return existing, False, True, state.snapshot.version
                 if (
-                    self._max_pending is not None
-                    and len(self._inflight) >= self._max_pending
+                    self.config.max_pending is not None
+                    and len(self._inflight) >= self.config.max_pending
                 ):
                     self._shed += 1
                     self.metrics.shed.inc()
@@ -1413,7 +1370,7 @@ class NCEngine:
                         trace.root.set(shed=True)
                     raise EngineSaturatedError(
                         f"engine is saturated: {len(self._inflight)} pending "
-                        f"computations (max_pending={self._max_pending})",
+                        f"computations (max_pending={self.config.max_pending})",
                         retry_after=1.0,
                     )
                 if trace is not None:
@@ -1451,7 +1408,7 @@ class NCEngine:
         """
         started = time.perf_counter()
         if timeout is None:
-            timeout = self.request_timeout
+            timeout = self.config.request_timeout
         deadline = time.monotonic() + timeout if timeout is not None else None
         future, cached, coalesced, version = self.submit(
             query, context_size=context_size, alpha=alpha, timeout=timeout,
@@ -1466,7 +1423,7 @@ class NCEngine:
             # Thread mode: nothing will interrupt the compute, so stop
             # waiting exactly at the deadline.
             grace = 0.0
-            if self.executor == "process" and self._pool is not None:
+            if self.config.executor == "process" and self._pool is not None:
                 grace = self._pool._watchdog_tick  # noqa: SLF001
             try:
                 result = future.result(
@@ -1529,7 +1486,7 @@ class NCEngine:
         work — but the process backend is bypassed because its circuit
         breaker is not closed. The ``reason`` field says why.
         """
-        if self.executor == "process" and self._breaker.state != "closed":
+        if self.config.executor == "process" and self._breaker.state != "closed":
             return {
                 "status": "degraded",
                 "reason": (
@@ -1576,8 +1533,8 @@ class NCEngine:
             repins=self._repins,
             pinned_version=pinned.snapshot.version if pinned else None,
             inflight=inflight,
-            max_workers=self.max_workers,
-            executor=self.executor,
+            max_workers=self.config.max_workers,
+            executor=self.config.executor,
             cache=self._cache.stats(),
             workers=pool.stats().as_dict() if pool is not None else None,
             swaps=self._swaps,
@@ -1588,6 +1545,6 @@ class NCEngine:
             shed=shed,
             fallbacks=fallbacks,
             breaker=(
-                self._breaker.as_dict() if self.executor == "process" else None
+                self._breaker.as_dict() if self.config.executor == "process" else None
             ),
         )

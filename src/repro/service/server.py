@@ -1,14 +1,10 @@
 """Stdlib HTTP JSON front-end for :class:`~repro.service.engine.NCEngine`.
 
-The API lives under a versioned prefix — ``/v1/...`` is canonical, and
-every pre-v1 unprefixed path (``/search``, ``/healthz``, ``/stats``,
-``/admin/reload``) is kept as an **alias** that answers byte-identically
-plus a ``Deprecation: true`` response header (RFC 8594 style), so
-existing clients keep working while new ones migrate. Routing is
-data-driven: :data:`ROUTES` declares ``(method, canonical path, alias,
-handler)`` tuples and the dispatch table is derived from it — adding a
-namespaced multi-tenant surface later (ROADMAP item 5) means adding
-rows, not ``if/elif`` arms.
+Every route lives under the versioned ``/v1/`` prefix; any other path
+answers ``404`` with ``code: "not_found"``. Routing is data-driven:
+:data:`ROUTES` declares ``(method, path, name, handler)`` rows and the
+dispatch table is derived from it, so adding an endpoint means adding a
+row, not an ``if/elif`` arm.
 
 Endpoints (full request/response reference: ``docs/OPERATIONS.md``)
 ---------
@@ -75,8 +71,7 @@ Endpoints (full request/response reference: ``docs/OPERATIONS.md``)
 
 Every request is recorded in the engine's metrics registry
 (``nc_http_requests_total{route,method,status}`` and the per-route
-latency histogram), labeled by *canonical* route name whichever spelling
-the client used.
+latency histogram), labeled by route name.
 
 Built on :class:`http.server.ThreadingHTTPServer` (one thread per
 connection, stdlib-only); actual query concurrency is bounded by the
@@ -119,21 +114,18 @@ DEFAULT_ERROR_CODES = {
 
 @dataclass(frozen=True)
 class RouteSpec:
-    """One row of the route table: canonical path, legacy alias, handler.
+    """One row of the route table: method, path, route name, handler.
 
     ``name`` is the stable route label used by the HTTP metrics series
     (and the OPERATIONS.md reference); ``handler`` names the
     :class:`NCRequestHandler` method invoked with the split URL.
-    ``alias`` is the pre-v1 unprefixed path that must answer
-    byte-identically (plus the ``Deprecation`` header), or ``None``
-    for routes born under ``/v1/``. ``prefix`` routes match any path
-    that *starts with* ``path`` (the trace-detail route embeds the
-    trace id in the path), so they live outside the exact-match table.
+    ``prefix`` routes match any path that *starts with* ``path`` (the
+    trace-detail route embeds the trace id in the path), so they live
+    outside the exact-match table.
     """
 
     method: str
     path: str
-    alias: "str | None"
     name: str
     handler: str
     prefix: bool = False
@@ -142,36 +134,17 @@ class RouteSpec:
 #: The service's full HTTP surface. Dispatch is derived from this table;
 #: extend it (rather than the verb methods) to add endpoints.
 ROUTES: "tuple[RouteSpec, ...]" = (
-    RouteSpec("GET", "/v1/healthz", "/healthz", "healthz", "_handle_healthz"),
-    RouteSpec("GET", "/v1/stats", "/stats", "stats", "_handle_stats"),
-    RouteSpec("GET", "/v1/metrics", "/metrics", "metrics", "_handle_metrics"),
-    RouteSpec("GET", "/v1/search", "/search", "search", "_handle_search_get"),
-    RouteSpec("POST", "/v1/search", "/search", "search", "_handle_search_post"),
-    RouteSpec(
-        "POST",
-        "/v1/admin/reload",
-        "/admin/reload",
-        "admin_reload",
-        "_handle_admin_reload",
-    ),
-    RouteSpec(
-        "POST",
-        "/v1/admin/ingest",
-        None,
-        "admin_ingest",
-        "_handle_admin_ingest",
-    ),
-    RouteSpec(
-        "GET",
-        "/v1/debug/traces",
-        None,
-        "debug_traces",
-        "_handle_debug_traces",
-    ),
+    RouteSpec("GET", "/v1/healthz", "healthz", "_handle_healthz"),
+    RouteSpec("GET", "/v1/stats", "stats", "_handle_stats"),
+    RouteSpec("GET", "/v1/metrics", "metrics", "_handle_metrics"),
+    RouteSpec("GET", "/v1/search", "search", "_handle_search_get"),
+    RouteSpec("POST", "/v1/search", "search", "_handle_search_post"),
+    RouteSpec("POST", "/v1/admin/reload", "admin_reload", "_handle_admin_reload"),
+    RouteSpec("POST", "/v1/admin/ingest", "admin_ingest", "_handle_admin_ingest"),
+    RouteSpec("GET", "/v1/debug/traces", "debug_traces", "_handle_debug_traces"),
     RouteSpec(
         "GET",
         "/v1/debug/traces/",
-        None,
         "debug_trace",
         "_handle_debug_trace",
         prefix=True,
@@ -181,20 +154,15 @@ ROUTES: "tuple[RouteSpec, ...]" = (
 
 def _build_dispatch(
     routes: "tuple[RouteSpec, ...]",
-) -> "dict[tuple[str, str], tuple[RouteSpec, bool]]":
-    """``(method, path) -> (route, is_deprecated_alias)`` lookup table.
+) -> "dict[tuple[str, str], RouteSpec]":
+    """``(method, path) -> route`` lookup table.
 
     Prefix routes are excluded: they cannot be keyed by exact path and
     are scanned by :meth:`NCRequestHandler._dispatch` as a fallback.
     """
-    table: "dict[tuple[str, str], tuple[RouteSpec, bool]]" = {}
-    for spec in routes:
-        if spec.prefix:
-            continue
-        table[(spec.method, spec.path)] = (spec, False)
-        if spec.alias is not None:
-            table[(spec.method, spec.alias)] = (spec, True)
-    return table
+    return {
+        (spec.method, spec.path): spec for spec in routes if not spec.prefix
+    }
 
 
 _DISPATCH = _build_dispatch(ROUTES)
@@ -475,11 +443,8 @@ class NCRequestHandler(BaseHTTPRequestHandler):
     ) -> None:
         """The one response writer: every route answers through here.
 
-        Records the status for the HTTP metrics and — when the request
-        arrived on a deprecated unprefixed alias — adds the
-        ``Deprecation: true`` header without touching the body, which is
-        what keeps alias responses byte-identical to their ``/v1/``
-        counterparts.
+        Records the status for the HTTP metrics and echoes the trace id
+        in ``X-Trace-Id`` when the request is being traced.
         """
         self._response_status = status
         self.send_response(status)
@@ -488,8 +453,6 @@ class NCRequestHandler(BaseHTTPRequestHandler):
         trace = getattr(self, "_trace", None)
         if trace is not None:
             self.send_header("X-Trace-Id", trace.trace_id)
-        if getattr(self, "_deprecated_alias", False):
-            self.send_header("Deprecation", "true")
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -537,6 +500,26 @@ class NCRequestHandler(BaseHTTPRequestHandler):
             extra_headers=headers or None,
         )
 
+    def _read_body(self, code: str) -> "bytes | None":
+        """The request body, or ``None`` after answering 400 with ``code``.
+
+        ``Content-Length`` must be a non-negative integer: a negative one
+        would make ``rfile.read`` block until the client half-closes.
+        """
+        raw = self.headers.get("Content-Length", "0")
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_error_json(
+                400,
+                f"Content-Length must be a non-negative integer, got {raw!r}",
+                code=code,
+            )
+            return None
+        return self.rfile.read(length)
+
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         """Per-request stderr logging, silenced unless ``--verbose``."""
         if not self.quiet:  # pragma: no cover - exercised only with --verbose
@@ -556,28 +539,29 @@ class NCRequestHandler(BaseHTTPRequestHandler):
         errored — after the response is written.
         """
         url = urlsplit(self.path)
-        entry = _DISPATCH.get((method, url.path))
-        if entry is None:
-            for spec in _PREFIX_ROUTES:
-                if spec.method == method and url.path.startswith(spec.path):
-                    entry = (spec, False)
+        spec = _DISPATCH.get((method, url.path))
+        if spec is None:
+            for candidate in _PREFIX_ROUTES:
+                if candidate.method == method and url.path.startswith(
+                    candidate.path
+                ):
+                    spec = candidate
                     break
-        self._deprecated_alias = entry is not None and entry[1]
-        route_name = entry[0].name if entry is not None else "unknown"
+        route_name = spec.name if spec is not None else "unknown"
         self._response_status = 0
         tracer = getattr(self._engine(), "tracer", None)
         self._trace = None
-        if tracer is not None and tracer.enabled and entry is not None:
+        if tracer is not None and tracer.enabled and spec is not None:
             inbound = parse_traceparent(self.headers.get("traceparent"))
             self._trace = tracer.begin(f"http.{route_name}", parent=inbound)
             if self._trace is not None:
                 self._trace.root.set(method=method, path=url.path)
         started = time.perf_counter()
         try:
-            if entry is None:
+            if spec is None:
                 self._send_error_json(404, f"unknown path {url.path!r}")
             else:
-                getattr(self, entry[0].handler)(url)
+                getattr(self, spec.handler)(url)
         finally:
             status = self._response_status
             elapsed = time.perf_counter() - started
@@ -641,7 +625,7 @@ class NCRequestHandler(BaseHTTPRequestHandler):
                 "graph_version": graph.version,
                 "nodes": graph.node_count,
                 "edges": graph.edge_count,
-                "executor": engine.executor,
+                "executor": engine.config.executor,
             }
         )
         self._send_json(payload)
@@ -675,10 +659,12 @@ class NCRequestHandler(BaseHTTPRequestHandler):
 
     def _handle_search_post(self, url) -> None:
         """``POST /v1/search``: JSON body → the shared search path."""
+        body = self._read_body("bad_request")
+        if body is None:
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            params = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, json.JSONDecodeError):
+            params = json.loads(body or b"{}")
+        except ValueError:
             self._send_error_json(400, "request body is not valid JSON")
             return
         if not isinstance(params, dict):
@@ -734,10 +720,14 @@ class NCRequestHandler(BaseHTTPRequestHandler):
         raw = parse_qs(url.query)
         fmt = raw.get("format", ["nt"])[0]
         wait = raw.get("wait", ["0"])[0] not in ("", "0", "false")
+        raw_body = self._read_body("bad_batch")
+        if raw_body is None:
+            if bundle is not None:
+                bundle.ingest_batches.inc(status="rejected")
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            body = self.rfile.read(length).decode("utf-8")
-        except (ValueError, UnicodeDecodeError):
+            body = raw_body.decode("utf-8")
+        except UnicodeDecodeError:
             if bundle is not None:
                 bundle.ingest_batches.inc(status="rejected")
             self._send_error_json(

@@ -45,6 +45,7 @@ class TermDictionary:
         return new_id
 
     def encode_many(self, terms: "list[Term] | tuple[Term, ...]") -> list[int]:
+        """Encode each term in order (assigning ids to unseen ones)."""
         return [self.encode(t) for t in terms]
 
     def lookup(self, term: Term) -> int | None:
@@ -67,4 +68,5 @@ class TermDictionary:
         return iter(self._id_to_term)
 
     def items(self) -> Iterator[tuple[Term, int]]:
+        """Iterate ``(term, id)`` pairs in id order."""
         return iter(self._term_to_id.items())

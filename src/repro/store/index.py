@@ -53,6 +53,7 @@ class TwoLevelIndex:
         return True
 
     def contains(self, first: int, second: int, third: int) -> bool:
+        """Whether the id triple ``(first, second, third)`` is indexed."""
         level2 = self._index.get(first)
         if level2 is None:
             return False

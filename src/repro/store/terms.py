@@ -111,6 +111,7 @@ class Literal:
             raise TermError("a literal cannot carry both datatype and language")
 
     def n3(self) -> str:
+        """The N-Triples form: quoted, escaped, with ``@lang`` or ``^^<type>``."""
         body = f'"{_escape_literal(self.value)}"'
         if self.language:
             return f"{body}@{self.language}"

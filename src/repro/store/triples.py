@@ -35,9 +35,11 @@ class Triple:
         return cls(s, p, o)
 
     def n3(self) -> str:
+        """The triple as one N-Triples statement, terminated by `` .``."""
         return f"{self.subject.n3()} {self.predicate.n3()} {self.object.n3()} ."
 
     def as_tuple(self) -> tuple[IRI, IRI, Term]:
+        """The ``(subject, predicate, object)`` tuple."""
         return (self.subject, self.predicate, self.object)
 
     def __iter__(self):

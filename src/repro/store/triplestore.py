@@ -177,6 +177,7 @@ class TripleStore:
 
     @property
     def dictionary(self) -> TermDictionary:
+        """The term dictionary that maps terms to the store's integer ids."""
         return self._dictionary
 
     def __len__(self) -> int:

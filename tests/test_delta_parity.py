@@ -308,7 +308,7 @@ class TestBothExecutors:
         self, tmp_path
     ):
         """The merged version answers the same on thread and process."""
-        from repro.service.engine import NCEngine
+        from repro.service.engine import EngineConfig, NCEngine
 
         registry = SnapshotRegistry(tmp_path / "serving")
         registry.publish_graph(figure1_graph())
@@ -318,15 +318,18 @@ class TestBothExecutors:
         entry = registry.merge_pending()
         query = ["Angela_Merkel", "Barack_Obama"]
         with NCEngine(
-            registry.open_view(entry.version), context_size=3, seed=7
+            registry.open_view(entry.version),
+            config=EngineConfig(context_size=3, seed=7),
         ) as thread_engine:
             threaded = thread_engine.search(query)
         with NCEngine(
             registry.open_view(entry.version),
-            context_size=3,
-            seed=7,
-            executor="process",
-            max_workers=1,
+            config=EngineConfig(
+                context_size=3,
+                seed=7,
+                executor="process",
+                max_workers=1,
+            ),
         ) as process_engine:
             processed = process_engine.search(query)
         assert [(i.label, i.score) for i in threaded.results] == [
@@ -364,13 +367,14 @@ class TestCrashMidIngest:
         assert entry.version == 2 and entry.deltas == (run.file,)
 
     def test_server_keeps_answering_from_the_old_version(self, tmp_path):
-        from repro.service.engine import NCEngine
+        from repro.service.engine import EngineConfig, NCEngine
         from repro.service.server import create_server
 
         registry = SnapshotRegistry(tmp_path / "serving")
         registry.publish_graph(figure1_graph())
         engine = NCEngine(
-            registry.open_view(), context_size=3, max_workers=2, seed=5
+            registry.open_view(),
+            config=EngineConfig(context_size=3, max_workers=2, seed=5),
         )
         engine.pin()
         server = create_server(engine, port=0, registry=registry, retain=2)

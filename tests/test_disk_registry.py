@@ -83,12 +83,16 @@ class TestPublish:
 
     def test_registry_round_trips_identical_results(self, registry, graph):
         """A published version serves exactly what the live graph serves."""
-        from repro.service.engine import NCEngine
+        from repro.service.engine import EngineConfig, NCEngine
 
         entry = registry.publish_graph(graph)
         view = registry.open_view(entry.version)
-        with NCEngine(graph, context_size=3, seed=7) as live_engine, NCEngine(
-            view, context_size=3, seed=7
+        with NCEngine(
+            graph,
+            config=EngineConfig(context_size=3, seed=7),
+        ) as live_engine, NCEngine(
+            view,
+            config=EngineConfig(context_size=3, seed=7),
         ) as served_engine:
             live = live_engine.search([1, 2])
             served = served_engine.search([1, 2])

@@ -17,7 +17,7 @@ from repro.datasets.loader import load_dataset, to_snapshot
 from repro.datasets.seeds import TABLE1_DOMAINS
 from repro.disk import open_snapshot, open_snapshot_view, save_graph_snapshot
 from repro.graph.io import load_graph, save_graph
-from repro.service.engine import NCEngine
+from repro.service.engine import EngineConfig, NCEngine
 
 SCALE = 0.4
 
@@ -78,8 +78,12 @@ class TestFindNCOverView:
 class TestEngineParity:
     def test_thread_backend_identical(self, graph, snapshot_path):
         view = open_snapshot_view(snapshot_path)
-        with NCEngine(graph, context_size=25, seed=11) as live, NCEngine(
-            view, context_size=25, seed=11
+        with NCEngine(
+            graph,
+            config=EngineConfig(context_size=25, seed=11),
+        ) as live, NCEngine(
+            view,
+            config=EngineConfig(context_size=25, seed=11),
         ) as cold:
             live.pin()
             cold.pin()
@@ -96,12 +100,17 @@ class TestEngineParity:
         """Workers mmap the file themselves — no shm publish for the boot
         version — and still match live-graph serving bit-for-bit."""
         view = open_snapshot_view(snapshot_path)
-        with NCEngine(graph, context_size=25, seed=11) as live, NCEngine(
+        with NCEngine(
+            graph,
+            config=EngineConfig(context_size=25, seed=11),
+        ) as live, NCEngine(
             view,
-            context_size=25,
-            seed=11,
-            executor="process",
-            max_workers=2,
+            config=EngineConfig(
+                context_size=25,
+                seed=11,
+                executor="process",
+                max_workers=2,
+            ),
         ) as cold:
             live.pin()
             state = cold.pin()
@@ -117,7 +126,7 @@ class TestEngineParity:
 
     def test_frozen_pin_is_stable(self, snapshot_path):
         view = open_snapshot_view(snapshot_path)
-        with NCEngine(view, context_size=25, seed=11) as engine:
+        with NCEngine(view, config=EngineConfig(context_size=25, seed=11)) as engine:
             first = engine.pin()
             assert engine.pin() is first  # frozen views never re-pin
             engine.search(QUERIES[0])
@@ -134,8 +143,12 @@ class TestEngineParity:
             save_graph_snapshot(graph, bare, include_transition=False)
             bare_view = open_snapshot_view(bare)
             full_view = open_snapshot_view(snapshot_path)
-            with NCEngine(bare_view, context_size=25, seed=11) as rebuilt, NCEngine(
-                full_view, context_size=25, seed=11
+            with NCEngine(
+                bare_view,
+                config=EngineConfig(context_size=25, seed=11),
+            ) as rebuilt, NCEngine(
+                full_view,
+                config=EngineConfig(context_size=25, seed=11),
             ) as adopted:
                 rebuilt.pin()
                 adopted.pin()
@@ -152,8 +165,12 @@ class TestDatasetSnapshotRoute:
         assert stats.nodes == graph.node_count
         assert stats.edges == graph.edge_count
         view = open_snapshot_view(path)
-        with NCEngine(graph, context_size=25, seed=11) as live, NCEngine(
-            view, context_size=25, seed=11
+        with NCEngine(
+            graph,
+            config=EngineConfig(context_size=25, seed=11),
+        ) as live, NCEngine(
+            view,
+            config=EngineConfig(context_size=25, seed=11),
         ) as cold:
             live.pin()
             cold.pin()

@@ -31,12 +31,13 @@ import repro.cli
 import repro.service.server
 import repro.service.workers
 from repro.datasets.loader import load_dataset
-from repro.service.engine import NCEngine
+from repro.service.engine import EngineConfig, NCEngine
 
 assert "scipy.stats" not in sys.modules, "scipy.stats loaded at import"
 
 graph = load_dataset("figure1")
-with NCEngine(graph, context_size=3, seed=7, executor="thread") as engine:
+config = EngineConfig(context_size=3, seed=7, executor="thread")
+with NCEngine(graph, config=config) as engine:
     result = engine.search(["Angela_Merkel", "Barack_Obama"])
 assert result.results, "the search evaluated no characteristic"
 assert "scipy.stats" not in sys.modules, "scipy.stats loaded by a search"

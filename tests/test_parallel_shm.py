@@ -303,9 +303,12 @@ class TestSharedTransition:
         """Process-mode pins ship the CSR triple; a worker-side adopt
         reproduces the warm build exactly (pinned by result parity in
         tests/test_service_workers.py; here we check the plumbing)."""
-        from repro.service.engine import NCEngine
+        from repro.service.engine import EngineConfig, NCEngine
 
-        with NCEngine(fig1_graph, executor="process", max_workers=1) as engine:
+        with NCEngine(
+            fig1_graph,
+            config=EngineConfig(executor="process", max_workers=1),
+        ) as engine:
             state = engine.pin()
             assert state.shared is not None
             assert state.shared.header.transition is not None

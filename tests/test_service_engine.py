@@ -7,7 +7,7 @@ import pytest
 from repro.core.findnc import FindNCResult
 from repro.datasets.figure1 import figure1_graph
 from repro.errors import QueryError
-from repro.service.engine import NCEngine
+from repro.service.engine import EngineConfig, NCEngine
 
 
 @pytest.fixture()
@@ -17,7 +17,10 @@ def graph():
 
 @pytest.fixture()
 def engine(graph):
-    with NCEngine(graph, context_size=3, max_workers=2, seed=5) as eng:
+    with NCEngine(
+        graph,
+        config=EngineConfig(context_size=3, max_workers=2, seed=5),
+    ) as eng:
         yield eng
 
 
@@ -66,7 +69,7 @@ class TestSearch:
             engine.search([])
 
     def test_closed_engine_rejects_requests(self, graph):
-        eng = NCEngine(graph, context_size=3)
+        eng = NCEngine(graph, config=EngineConfig(context_size=3))
         eng.close()
         with pytest.raises(RuntimeError):
             eng.search(QUERY)
@@ -123,7 +126,10 @@ class TestCacheUnderMutation:
 
 class TestSingleFlight:
     def test_concurrent_identical_requests_compute_once(self, graph):
-        with NCEngine(graph, context_size=3, max_workers=4, seed=5) as engine:
+        with NCEngine(
+            graph,
+            config=EngineConfig(context_size=3, max_workers=4, seed=5),
+        ) as engine:
             engine.pin()
             clients = 6
             barrier = threading.Barrier(clients)
@@ -153,7 +159,10 @@ class TestSingleFlight:
             assert stats.coalesced + stats.cache_hits == clients - 1
 
     def test_distinct_queries_all_computed(self, graph):
-        with NCEngine(graph, context_size=3, max_workers=4, seed=5) as engine:
+        with NCEngine(
+            graph,
+            config=EngineConfig(context_size=3, max_workers=4, seed=5),
+        ) as engine:
             futures = [
                 engine.submit([name])[0]
                 for name in ("Angela_Merkel", "Barack_Obama", "Vladimir_Putin")

@@ -13,7 +13,7 @@ onto *v2* while concurrent clients keep querying —
   landing in ``stats().drained_versions`` and, in process mode, the
   worker pool's parked-segment gauge returning to zero.
 
-The HTTP face (``POST /admin/reload``) and the manifest poller are
+The HTTP face (``POST /v1/admin/reload``) and the manifest poller are
 covered at the bottom.
 """
 
@@ -29,10 +29,11 @@ from repro.datasets.figure1 import figure1_graph
 from repro.disk import SnapshotRegistry
 from repro.graph.model import KnowledgeGraph
 from repro.service import faults
-from repro.service.engine import NCEngine
+from repro.service.engine import EngineConfig, NCEngine
 from repro.service.server import RegistryPoller, create_server
 
 QUERY = ["Angela_Merkel", "Barack_Obama"]
+CONFIG = EngineConfig(context_size=3, max_workers=2, seed=5)
 
 
 @pytest.fixture()
@@ -114,7 +115,8 @@ def _swap_under_traffic(engine, registry, *, clients=3, settle_s=0.15):
 class TestSwapThreadBackend:
     def test_swap_under_traffic_no_failures(self, registry):
         with NCEngine(
-            registry.open_view(1), context_size=3, max_workers=4, seed=5
+            registry.open_view(1),
+            config=EngineConfig(context_size=3, max_workers=4, seed=5),
         ) as engine:
             engine.pin()
             outcome, errors, served = _swap_under_traffic(engine, registry)
@@ -128,9 +130,7 @@ class TestSwapThreadBackend:
             assert engine.stats().draining_versions == ()
 
     def test_old_version_cache_entries_unreachable(self, registry):
-        with NCEngine(
-            registry.open_view(1), context_size=3, max_workers=2, seed=5
-        ) as engine:
+        with NCEngine(registry.open_view(1), config=CONFIG) as engine:
             engine.pin()
             first = engine.request(QUERY)
             assert not first.cached and first.graph_version == 1
@@ -143,16 +143,12 @@ class TestSwapThreadBackend:
             assert engine.request(QUERY).cached  # the v2 entry now is
 
     def test_swap_results_match_fresh_engine_on_new_version(self, registry):
-        with NCEngine(
-            registry.open_view(1), context_size=3, max_workers=2, seed=5
-        ) as swapped:
+        with NCEngine(registry.open_view(1), config=CONFIG) as swapped:
             swapped.pin()
             swapped.request(QUERY)
             swapped.swap_snapshot(registry.open_view(2))
             ours = swapped.request(QUERY).result
-        with NCEngine(
-            registry.open_view(2), context_size=3, max_workers=2, seed=5
-        ) as fresh:
+        with NCEngine(registry.open_view(2), config=CONFIG) as fresh:
             theirs = fresh.request(QUERY).result
         assert [(i.label, i.score) for i in ours.results] == [
             (i.label, i.score) for i in theirs.results
@@ -170,16 +166,12 @@ class TestSwapThreadBackend:
         graph = figure1_graph()
         registry.publish_graph(graph)
         registry.publish_graph(_reversed_vocabulary(graph))
-        with NCEngine(
-            registry.open_view(1), context_size=3, max_workers=2, seed=5
-        ) as fresh:
+        with NCEngine(registry.open_view(1), config=CONFIG) as fresh:
             expected = _answer(fresh.search(QUERY, context_size=3))
         injector = faults.parse_spec("engine.slow=1:0.5:1")
         faults.set_injector(injector)
         try:
-            with NCEngine(
-                registry.open_view(1), context_size=3, max_workers=2, seed=5
-            ) as engine:
+            with NCEngine(registry.open_view(1), config=CONFIG) as engine:
                 engine.pin()
                 answers = []
                 search = threading.Thread(
@@ -200,17 +192,13 @@ class TestSwapThreadBackend:
         assert _answer(answers[0]) == expected
 
     def test_swap_accepts_a_path(self, registry):
-        with NCEngine(
-            registry.open_view(1), context_size=3, max_workers=2, seed=5
-        ) as engine:
+        with NCEngine(registry.open_view(1), config=CONFIG) as engine:
             engine.pin()
             outcome = engine.swap_snapshot(registry.entry_for(2).path)
             assert outcome.swapped and engine.graph.version == 2
 
     def test_swap_same_version_is_a_noop(self, registry):
-        with NCEngine(
-            registry.open_view(1), context_size=3, max_workers=2, seed=5
-        ) as engine:
+        with NCEngine(registry.open_view(1), config=CONFIG) as engine:
             engine.pin()
             view = registry.open_view(1)
             try:
@@ -221,9 +209,7 @@ class TestSwapThreadBackend:
                 view.close()  # rejected views stay caller-owned
 
     def test_swap_backwards_raises(self, registry):
-        with NCEngine(
-            registry.open_view(2), context_size=3, max_workers=2, seed=5
-        ) as engine:
+        with NCEngine(registry.open_view(2), config=CONFIG) as engine:
             engine.pin()
             view = registry.open_view(1)
             try:
@@ -233,13 +219,17 @@ class TestSwapThreadBackend:
                 view.close()
 
     def test_swap_requires_a_frozen_engine(self, registry):
-        with NCEngine(figure1_graph(), context_size=3, max_workers=2) as engine:
+        with NCEngine(
+            figure1_graph(),
+            config=EngineConfig(context_size=3, max_workers=2),
+        ) as engine:
             with pytest.raises(ValueError, match="snapshot-backed"):
                 engine.swap_snapshot(registry.open_view(2))
 
     def test_swap_requires_a_frozen_view(self, registry):
         with NCEngine(
-            registry.open_view(1), context_size=3, max_workers=2
+            registry.open_view(1),
+            config=EngineConfig(context_size=3, max_workers=2),
         ) as engine:
             with pytest.raises(ValueError, match="frozen snapshot view"):
                 engine.swap_snapshot(figure1_graph())
@@ -251,10 +241,12 @@ class TestSwapProcessBackend:
     def test_swap_under_traffic_no_failures(self, registry):
         with NCEngine(
             registry.open_view(1),
-            context_size=3,
-            max_workers=2,
-            executor="process",
-            seed=5,
+            config=EngineConfig(
+                context_size=3,
+                max_workers=2,
+                executor="process",
+                seed=5,
+            ),
         ) as engine:
             engine.pin()
             engine.request(QUERY)  # workers attach the v1 file
@@ -274,10 +266,12 @@ class TestSwapProcessBackend:
         def serve_swapped(executor):
             with NCEngine(
                 registry.open_view(1),
-                context_size=3,
-                max_workers=2,
-                executor=executor,
-                seed=5,
+                config=EngineConfig(
+                    context_size=3,
+                    max_workers=2,
+                    executor=executor,
+                    seed=5,
+                ),
             ) as engine:
                 engine.pin()
                 engine.request(QUERY)
@@ -295,9 +289,7 @@ class TestAdminReload:
     @pytest.fixture()
     def service(self, registry):
         """A live server on v1 with the registry wired for reloads."""
-        engine = NCEngine(
-            registry.open_view(1), context_size=3, max_workers=2, seed=5
-        )
+        engine = NCEngine(registry.open_view(1), config=CONFIG)
         engine.pin()
         server = create_server(engine, port=0, registry=registry, retain=2)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -324,7 +316,7 @@ class TestAdminReload:
 
     def test_reload_swaps_to_latest(self, service):
         server, engine = service
-        status, body = self._post(server, "/admin/reload")
+        status, body = self._post(server, "/v1/admin/reload")
         assert status == 200
         assert body == {
             "swapped": True,
@@ -332,26 +324,29 @@ class TestAdminReload:
             "new_version": 2,
             "file": "v000002.snap",
         }
-        _, health = self._get(server, "/healthz")
+        _, health = self._get(server, "/v1/healthz")
         assert health["graph_version"] == 2
-        _, stats = self._get(server, "/stats")
+        _, stats = self._get(server, "/v1/stats")
         assert stats["swaps"] == 1
 
     def test_reload_is_idempotent(self, service):
         server, _ = service
-        self._post(server, "/admin/reload")
-        status, body = self._post(server, "/admin/reload")
+        self._post(server, "/v1/admin/reload")
+        status, body = self._post(server, "/v1/admin/reload")
         assert status == 200
         assert body["swapped"] is False
 
     def test_reload_without_registry_is_a_client_error(self):
-        engine = NCEngine(figure1_graph(), context_size=3, max_workers=2)
+        engine = NCEngine(
+            figure1_graph(),
+            config=EngineConfig(context_size=3, max_workers=2),
+        )
         server = create_server(engine, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
-                self._post(server, "/admin/reload")
+                self._post(server, "/v1/admin/reload")
             assert excinfo.value.code == 400
         finally:
             server.shutdown()
@@ -362,20 +357,20 @@ class TestAdminReload:
         self, service, registry
     ):
         server, engine = service
-        self._post(server, "/admin/reload")  # -> v2
+        self._post(server, "/v1/admin/reload")  # -> v2
         publisher = SnapshotRegistry(registry.directory)  # separate handle
         publisher.publish_graph(figure1_graph())  # -> v3
-        status, body = self._post(server, "/admin/reload")
+        status, body = self._post(server, "/v1/admin/reload")
         assert status == 200
         assert body["swapped"] and body["new_version"] == 3
 
     def test_reload_gc_respects_retain_and_draining(self, service, registry):
         server, engine = service
-        self._post(server, "/admin/reload")  # v1 -> v2
+        self._post(server, "/v1/admin/reload")  # v1 -> v2
         assert _wait_drained(engine, 1)
         publisher = SnapshotRegistry(registry.directory)
         publisher.publish_graph(figure1_graph())  # v3
-        self._post(server, "/admin/reload")  # v2 -> v3, then gc(retain=2)
+        self._post(server, "/v1/admin/reload")  # v2 -> v3, then gc(retain=2)
         registry.refresh()
         versions = [entry.version for entry in registry.versions()]
         assert 3 in versions and 1 not in versions
@@ -383,9 +378,7 @@ class TestAdminReload:
 
 class TestRegistryPoller:
     def test_poller_swaps_when_the_manifest_moves(self, registry):
-        engine = NCEngine(
-            registry.open_view(2), context_size=3, max_workers=2, seed=5
-        )
+        engine = NCEngine(registry.open_view(2), config=CONFIG)
         engine.pin()
         poller = RegistryPoller(engine, registry, interval=0.05)
         poller.start()
@@ -402,7 +395,7 @@ class TestRegistryPoller:
             engine.close()
 
     def test_poller_rejects_nonpositive_interval(self, registry):
-        engine = NCEngine(registry.open_view(1), context_size=3)
+        engine = NCEngine(registry.open_view(1), config=EngineConfig(context_size=3))
         try:
             with pytest.raises(ValueError):
                 RegistryPoller(engine, registry, interval=0)
@@ -415,9 +408,7 @@ class TestReviewRegressions:
 
     def test_swap_same_version_path_closes_internal_view(self, registry):
         """A path-argument no-op must close the view the engine opened."""
-        with NCEngine(
-            registry.open_view(2), context_size=3, max_workers=2, seed=5
-        ) as engine:
+        with NCEngine(registry.open_view(2), config=CONFIG) as engine:
             engine.pin()
             outcome = engine.swap_snapshot(registry.entry_for(2).path)
             assert not outcome.swapped
@@ -427,9 +418,7 @@ class TestReviewRegressions:
             view.close()
 
     def test_swap_backwards_path_closes_internal_view(self, registry):
-        with NCEngine(
-            registry.open_view(2), context_size=3, max_workers=2, seed=5
-        ) as engine:
+        with NCEngine(registry.open_view(2), config=CONFIG) as engine:
             engine.pin()
             with pytest.raises(ValueError, match="monotonic"):
                 engine.swap_snapshot(registry.entry_for(1).path)
@@ -438,9 +427,7 @@ class TestReviewRegressions:
         """A misconfigured retain must not turn a good swap into a 500."""
         from repro.service.server import reload_from_registry
 
-        engine = NCEngine(
-            registry.open_view(1), context_size=3, max_workers=2, seed=5
-        )
+        engine = NCEngine(registry.open_view(1), config=CONFIG)
         try:
             engine.pin()
             outcome = reload_from_registry(engine, registry, retain=0)
@@ -463,9 +450,7 @@ class TestReviewRegressions:
 
     def test_poller_retries_after_a_failed_reload(self, registry, tmp_path):
         """A transient reload failure must not freeze the mtime token."""
-        engine = NCEngine(
-            registry.open_view(2), context_size=3, max_workers=2, seed=5
-        )
+        engine = NCEngine(registry.open_view(2), config=CONFIG)
         poller = RegistryPoller(engine, registry, interval=0.05)
         fail_once = {"count": 0}
         real_refresh = registry.refresh

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datasets.figure1 import figure1_graph
-from repro.service.engine import NCEngine
+from repro.service.engine import EngineConfig, NCEngine
 from repro.service.loadgen import (
     LoadEvent,
     LoadProfile,
@@ -96,7 +96,10 @@ class TestRunLoad:
     @pytest.fixture(scope="class")
     def engine(self):
         graph = figure1_graph()
-        with NCEngine(graph, context_size=3, max_workers=2, seed=5) as engine:
+        with NCEngine(
+            graph,
+            config=EngineConfig(context_size=3, max_workers=2, seed=5),
+        ) as engine:
             engine.pin()
             yield engine
 

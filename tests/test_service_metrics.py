@@ -4,6 +4,7 @@ and the scrape-while-loaded acceptance path."""
 import math
 import threading
 import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -187,19 +188,14 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="request_timeout must be > 0"):
             EngineConfig(request_timeout=0)
 
-    def test_config_and_kwargs_are_mutually_exclusive(self):
+    def test_config_is_the_only_construction_form(self):
         graph = figure1_graph()
-        with pytest.raises(ValueError, match="not both"):
-            NCEngine(graph, config=EngineConfig(), cache_size=4)
+        with pytest.raises(TypeError):
+            NCEngine(graph, context_size=3)
         with pytest.raises(TypeError):
             NCEngine(graph, config={"cache_size": 4})
-
-    def test_kwargs_back_compat_builds_config(self):
-        graph = figure1_graph()
-        with NCEngine(graph, context_size=3, cache_size=7, seed=5) as engine:
-            assert engine.config.cache_size == 7
-            assert engine.config.context_size == 3
-            assert engine.config.as_dict()["executor"] == "thread"
+        with NCEngine(graph) as engine:
+            assert engine.config == EngineConfig()
 
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError):
@@ -209,7 +205,10 @@ class TestEngineConfig:
 @pytest.fixture(scope="module")
 def engine():
     graph = figure1_graph()
-    with NCEngine(graph, context_size=3, max_workers=2, seed=5) as engine:
+    with NCEngine(
+        graph,
+        config=EngineConfig(context_size=3, max_workers=2, seed=5),
+    ) as engine:
         engine.pin()
         yield engine
 
@@ -247,7 +246,10 @@ class TestScrapeUnderTraffic:
         from repro.service.server import create_server
 
         graph = figure1_graph()
-        engine = NCEngine(graph, context_size=3, max_workers=2, seed=5)
+        engine = NCEngine(
+            graph,
+            config=EngineConfig(context_size=3, max_workers=2, seed=5),
+        )
         server = create_server(engine, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -296,29 +298,36 @@ class TestScrapeUnderTraffic:
         from repro.service.server import create_server
 
         graph = figure1_graph()
-        engine = NCEngine(graph, context_size=3, max_workers=2, seed=5)
+        engine = NCEngine(
+            graph,
+            config=EngineConfig(context_size=3, max_workers=2, seed=5),
+        )
         server = create_server(engine, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         port = server.server_address[1]
         base = f"http://127.0.0.1:{port}"
         try:
-            for path in ("/v1/healthz", "/healthz", "/v1/stats"):
+            for path in ("/v1/healthz", "/v1/stats"):
                 with urllib.request.urlopen(base + path) as response:
                     response.read()
+            with pytest.raises(urllib.error.HTTPError):
+                urllib.request.urlopen(base + "/healthz")
             requests = engine.metrics.http_requests
             # The handler records its metrics after flushing the response
             # body, so give the server thread a beat to finish its
             # finally-block before asserting.
             deadline = time.monotonic() + 5.0
             while (
-                requests.value(route="healthz", method="GET", status="200") < 2
+                requests.value(route="healthz", method="GET", status="200") < 1
                 or requests.value(route="stats", method="GET", status="200") < 1
+                or requests.value(route="unknown", method="GET", status="404") < 1
             ) and time.monotonic() < deadline:
                 time.sleep(0.01)
-            # canonical and alias spellings both count under one route
-            assert requests.value(route="healthz", method="GET", status="200") == 2
+            # an unprefixed spelling is an unknown path, not a healthz hit
+            assert requests.value(route="healthz", method="GET", status="200") == 1
             assert requests.value(route="stats", method="GET", status="200") == 1
+            assert requests.value(route="unknown", method="GET", status="404") == 1
         finally:
             server.shutdown()
             server.server_close()

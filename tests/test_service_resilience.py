@@ -12,7 +12,7 @@ from repro.datasets.figure1 import figure1_graph
 from repro.errors import DeadlineExceededError, EngineSaturatedError
 from repro.parallel.shm import publish_graph
 from repro.service import faults
-from repro.service.engine import CircuitBreaker, NCEngine
+from repro.service.engine import CircuitBreaker, EngineConfig, NCEngine
 from repro.service.workers import ProcessWorkerPool, WorkerConfig
 
 QUERY = ["Angela_Merkel", "Barack_Obama"]
@@ -126,17 +126,20 @@ class TestEngineValidation:
     )
     def test_rejects_bad_resilience_kwargs(self, graph, kwargs):
         with pytest.raises(ValueError):
-            NCEngine(graph, context_size=3, **kwargs)
+            NCEngine(graph, config=EngineConfig(context_size=3, **kwargs))
 
     def test_submit_rejects_nonpositive_timeout(self, graph):
-        with NCEngine(graph, context_size=3, seed=5) as engine:
+        with NCEngine(graph, config=EngineConfig(context_size=3, seed=5)) as engine:
             with pytest.raises(ValueError, match="timeout"):
                 engine.submit(QUERY, timeout=0.0)
 
 
 class TestThreadDeadlines:
     def test_request_timeout_surfaces_within_the_deadline(self, graph):
-        with NCEngine(graph, context_size=3, max_workers=1, seed=5) as engine:
+        with NCEngine(
+            graph,
+            config=EngineConfig(context_size=3, max_workers=1, seed=5),
+        ) as engine:
             faults.set_injector(
                 faults.FaultInjector(
                     [faults.FaultRule("engine.slow", delay_s=0.6, limit=1)]
@@ -159,7 +162,13 @@ class TestThreadDeadlines:
 
     def test_engine_default_request_timeout_applies(self, graph):
         with NCEngine(
-            graph, context_size=3, max_workers=1, seed=5, request_timeout=0.1
+            graph,
+            config=EngineConfig(
+                context_size=3,
+                max_workers=1,
+                seed=5,
+                request_timeout=0.1,
+            ),
         ) as engine:
             faults.set_injector(
                 faults.FaultInjector(
@@ -170,7 +179,10 @@ class TestThreadDeadlines:
                 engine.request(QUERY)
 
     def test_queued_job_cancelled_at_the_deadline(self, graph):
-        with NCEngine(graph, context_size=3, max_workers=1, seed=5) as engine:
+        with NCEngine(
+            graph,
+            config=EngineConfig(context_size=3, max_workers=1, seed=5),
+        ) as engine:
             # The only executor thread is held by a slow compute, so the
             # second query expires while still queued — its _compute must
             # refuse to start rather than charge a dead request.
@@ -190,7 +202,8 @@ class TestThreadDeadlines:
 class TestAdmissionControl:
     def test_sheds_beyond_the_pending_budget(self, graph):
         with NCEngine(
-            graph, context_size=3, max_workers=1, seed=5, max_pending=1
+            graph,
+            config=EngineConfig(context_size=3, max_workers=1, seed=5, max_pending=1),
         ) as engine:
             faults.set_injector(
                 faults.FaultInjector(
@@ -209,7 +222,8 @@ class TestAdmissionControl:
 
     def test_coalescing_beats_shedding(self, graph):
         with NCEngine(
-            graph, context_size=3, max_workers=1, seed=5, max_pending=1
+            graph,
+            config=EngineConfig(context_size=3, max_workers=1, seed=5, max_pending=1),
         ) as engine:
             faults.set_injector(
                 faults.FaultInjector(
@@ -244,17 +258,22 @@ class TestProcessResilience:
     pytestmark = pytest.mark.chaos
 
     def test_crash_retried_on_a_healthy_worker(self, graph, monkeypatch):
-        with NCEngine(graph, context_size=3, max_workers=1, seed=5) as thread_engine:
+        with NCEngine(
+            graph,
+            config=EngineConfig(context_size=3, max_workers=1, seed=5),
+        ) as thread_engine:
             expected = thread_engine.search(QUERY)
         monkeypatch.setenv(faults.FAULTS_ENV, "worker.crash=1")
         with NCEngine(
             graph,
-            context_size=3,
-            max_workers=1,
-            executor="process",
-            seed=5,
-            retries=2,
-            retry_backoff=0.01,
+            config=EngineConfig(
+                context_size=3,
+                max_workers=1,
+                executor="process",
+                seed=5,
+                retries=2,
+                retry_backoff=0.01,
+            ),
         ) as engine:
             _fast_pool(engine, 1)  # spawns the (armed) worker now
             monkeypatch.delenv(faults.FAULTS_ENV)
@@ -271,18 +290,23 @@ class TestProcessResilience:
             assert engine.health() == {"status": "ok"}
 
     def test_breaker_trips_to_degraded_then_revives(self, graph, monkeypatch):
-        with NCEngine(graph, context_size=3, max_workers=1, seed=5) as thread_engine:
+        with NCEngine(
+            graph,
+            config=EngineConfig(context_size=3, max_workers=1, seed=5),
+        ) as thread_engine:
             expected = thread_engine.search(QUERY)
         monkeypatch.setenv(faults.FAULTS_ENV, "worker.crash=1")
         with NCEngine(
             graph,
-            context_size=3,
-            max_workers=1,
-            executor="process",
-            seed=5,
-            retries=0,
-            breaker_threshold=1,
-            breaker_reset_s=60.0,
+            config=EngineConfig(
+                context_size=3,
+                max_workers=1,
+                executor="process",
+                seed=5,
+                retries=0,
+                breaker_threshold=1,
+                breaker_reset_s=60.0,
+            ),
         ) as engine:
             pool = _fast_pool(engine, 1)
             # Every dispatch crashes (respawns re-read the env var, so
@@ -328,7 +352,13 @@ class TestProcessResilience:
     def test_process_deadline_abandons_the_job(self, graph, monkeypatch):
         monkeypatch.setenv(faults.FAULTS_ENV, "worker.slow=1:1.5:1")
         with NCEngine(
-            graph, context_size=3, max_workers=1, executor="process", seed=5
+            graph,
+            config=EngineConfig(
+                context_size=3,
+                max_workers=1,
+                executor="process",
+                seed=5,
+            ),
         ) as engine:
             pool = _fast_pool(engine, 1)
             monkeypatch.delenv(faults.FAULTS_ENV)
@@ -421,19 +451,24 @@ class TestBatchChaos:
         self, graph, monkeypatch
     ):
         queries = [["Angela_Merkel"], ["Barack_Obama"], ["Vladimir_Putin"]]
-        with NCEngine(graph, context_size=3, max_workers=1, seed=5) as thread_engine:
+        with NCEngine(
+            graph,
+            config=EngineConfig(context_size=3, max_workers=1, seed=5),
+        ) as thread_engine:
             expected = [thread_engine.search(q) for q in queries]
         monkeypatch.setenv(faults.FAULTS_ENV, "worker.crash=1")
         with NCEngine(
             graph,
-            context_size=3,
-            max_workers=1,
-            executor="process",
-            seed=5,
-            retries=3,
-            retry_backoff=0.05,
-            batch_window_ms=80.0,
-            max_batch=4,
+            config=EngineConfig(
+                context_size=3,
+                max_workers=1,
+                executor="process",
+                seed=5,
+                retries=3,
+                retry_backoff=0.05,
+                batch_window_ms=80.0,
+                max_batch=4,
+            ),
         ) as engine:
             pool = _fast_pool(
                 engine, 1, batch_window_ms=80.0, max_batch=4
@@ -460,12 +495,14 @@ class TestBatchChaos:
         monkeypatch.setenv(faults.FAULTS_ENV, "worker.slow=1:1.2:1")
         with NCEngine(
             graph,
-            context_size=3,
-            max_workers=1,
-            executor="process",
-            seed=5,
-            batch_window_ms=250.0,
-            max_batch=4,
+            config=EngineConfig(
+                context_size=3,
+                max_workers=1,
+                executor="process",
+                seed=5,
+                batch_window_ms=250.0,
+                max_batch=4,
+            ),
         ) as engine:
             pool = _fast_pool(
                 engine, 1, batch_window_ms=250.0, max_batch=4

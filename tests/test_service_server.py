@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -9,8 +10,9 @@ import urllib.request
 import pytest
 
 from repro.datasets.figure1 import figure1_graph
+from repro.disk import SnapshotRegistry
 from repro.service import faults
-from repro.service.engine import NCEngine
+from repro.service.engine import EngineConfig, NCEngine
 from repro.service.server import create_server, outcome_to_json
 
 
@@ -18,7 +20,7 @@ from repro.service.server import create_server, outcome_to_json
 def service():
     """A live server on an ephemeral port, shared across this module."""
     graph = figure1_graph()
-    engine = NCEngine(graph, context_size=3, max_workers=2, seed=5)
+    engine = NCEngine(graph, config=EngineConfig(context_size=3, max_workers=2, seed=5))
     server = create_server(engine, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -48,7 +50,7 @@ def _post(server, path, payload):
 class TestEndpoints:
     def test_healthz(self, service):
         server, _, graph = service
-        status, body = _get(server, "/healthz")
+        status, body = _get(server, "/v1/healthz")
         assert status == 200
         assert body["status"] == "ok"
         assert body["nodes"] == graph.node_count
@@ -57,7 +59,7 @@ class TestEndpoints:
     def test_search_get_end_to_end(self, service):
         server, _, _ = service
         status, body = _get(
-            server, "/search?query=Angela_Merkel,Barack_Obama&context_size=3"
+            server, "/v1/search?query=Angela_Merkel,Barack_Obama&context_size=3"
         )
         assert status == 200
         assert sorted(body["query"]) == ["Angela_Merkel", "Barack_Obama"]
@@ -69,23 +71,23 @@ class TestEndpoints:
     def test_search_repeated_query_params(self, service):
         server, _, _ = service
         status, body = _get(
-            server, "/search?query=Angela_Merkel&query=Barack_Obama"
+            server, "/v1/search?query=Angela_Merkel&query=Barack_Obama"
         )
         assert status == 200
         assert len(body["query"]) == 2
 
     def test_search_post_hits_cache_of_get(self, service):
         server, _, _ = service
-        _get(server, "/search?query=Vladimir_Putin&context_size=3")
+        _get(server, "/v1/search?query=Vladimir_Putin&context_size=3")
         status, body = _post(
-            server, "/search", {"query": ["Vladimir_Putin"], "context_size": 3}
+            server, "/v1/search", {"query": ["Vladimir_Putin"], "context_size": 3}
         )
         assert status == 200
         assert body["cached"] is True
 
     def test_stats(self, service):
         server, engine, _ = service
-        status, body = _get(server, "/stats")
+        status, body = _get(server, "/v1/stats")
         assert status == 200
         assert body["requests"] == engine.stats().requests
         assert "cache" in body
@@ -101,13 +103,13 @@ class TestErrors:
     def test_missing_query_400(self, service):
         server, _, _ = service
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(server, "/search")
+            _get(server, "/v1/search")
         assert excinfo.value.code == 400
 
     def test_unresolvable_entity_400(self, service):
         server, _, _ = service
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(server, "/search?query=Completely_Unknown_Entity_42")
+            _get(server, "/v1/search?query=Completely_Unknown_Entity_42")
         error = excinfo.value
         assert error.code == 400
         assert "error" in json.loads(error.read())
@@ -116,7 +118,7 @@ class TestErrors:
         server, _, _ = service
         port = server.server_address[1]
         request = urllib.request.Request(
-            f"http://127.0.0.1:{port}/search", data=b"not json"
+            f"http://127.0.0.1:{port}/v1/search", data=b"not json"
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
@@ -125,7 +127,7 @@ class TestErrors:
     def test_post_wrong_path_404(self, service):
         server, _, _ = service
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(server, "/healthz", {})
+            _post(server, "/v1/healthz", {})
         assert excinfo.value.code == 404
 
 
@@ -155,7 +157,7 @@ class TestServeCommand:
     pytestmark = pytest.mark.slow
 
     def test_serve_subprocess_answers_search(self, tmp_path):
-        """`repro serve` end-to-end: spawn the CLI, hit /search over HTTP."""
+        """`repro serve` end-to-end: spawn the CLI, hit /v1/search over HTTP."""
         import os
         import subprocess
         import sys
@@ -192,7 +194,7 @@ class TestServeCommand:
                     break
             assert port, "server did not report its port"
             with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/search?query=Angela_Merkel,Barack_Obama",
+                f"http://127.0.0.1:{port}/v1/search?query=Angela_Merkel,Barack_Obama",
                 timeout=30,
             ) as response:
                 body = json.loads(response.read())
@@ -204,9 +206,9 @@ class TestServeCommand:
 
 
 @contextlib.contextmanager
-def _serving(engine):
+def _serving(engine, registry=None):
     """A live server over ``engine`` on an ephemeral port."""
-    server = create_server(engine, port=0)
+    server = create_server(engine, port=0, registry=registry)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -227,7 +229,7 @@ class TestResilienceSurface:
     def test_error_bodies_carry_stable_codes(self, service):
         server, _, _ = service
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(server, "/search")
+            _get(server, "/v1/search")
         assert json.loads(excinfo.value.read())["code"] == "bad_request"
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server, "/nope")
@@ -237,19 +239,22 @@ class TestResilienceSurface:
     def test_invalid_timeout_ms_400(self, service, value):
         server, _, _ = service
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(server, f"/search?query=Angela_Merkel&timeout_ms={value}")
+            _get(server, f"/v1/search?query=Angela_Merkel&timeout_ms={value}")
         error = excinfo.value
         assert error.code == 400
         assert json.loads(error.read())["code"] == "invalid_timeout"
 
     def test_stats_expose_resilience_counters(self, service):
         server, _, _ = service
-        _, body = _get(server, "/stats")
+        _, body = _get(server, "/v1/stats")
         for field in ("timeouts", "retries", "shed", "fallbacks"):
             assert field in body
 
     def test_deadline_expiry_is_504(self):
-        engine = NCEngine(figure1_graph(), context_size=3, max_workers=1, seed=5)
+        engine = NCEngine(
+            figure1_graph(),
+            config=EngineConfig(context_size=3, max_workers=1, seed=5),
+        )
         with _serving(engine) as server:
             faults.set_injector(
                 faults.FaultInjector(
@@ -259,7 +264,7 @@ class TestResilienceSurface:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(
                     server,
-                    "/search?query=Angela_Merkel,Barack_Obama&timeout_ms=150",
+                    "/v1/search?query=Angela_Merkel,Barack_Obama&timeout_ms=150",
                 )
             error = excinfo.value
             assert error.code == 504
@@ -267,7 +272,8 @@ class TestResilienceSurface:
 
     def test_saturated_engine_sheds_503_with_retry_after(self):
         engine = NCEngine(
-            figure1_graph(), context_size=3, max_workers=1, seed=5, max_pending=1
+            figure1_graph(),
+            config=EngineConfig(context_size=3, max_workers=1, seed=5, max_pending=1),
         )
         with _serving(engine) as server:
             faults.set_injector(
@@ -277,7 +283,7 @@ class TestResilienceSurface:
             )
             blocker, *_ = engine.submit(["Angela_Merkel", "Barack_Obama"])
             with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(server, "/search?query=Vladimir_Putin")
+                _get(server, "/v1/search?query=Vladimir_Putin")
             error = excinfo.value
             assert error.code == 503
             assert error.headers["Retry-After"] == "1"
@@ -285,24 +291,26 @@ class TestResilienceSurface:
             blocker.result(timeout=5.0)
 
     def test_degraded_breaker_reported_by_healthz(self):
-        # A tripped worker-pool breaker must surface on /healthz (still
+        # A tripped worker-pool breaker must surface on /v1/healthz (still
         # HTTP 200: the engine keeps answering from the fallback, so
         # load balancers should keep routing).
         engine = NCEngine(
             figure1_graph(),
-            context_size=3,
-            max_workers=1,
-            executor="process",
-            seed=5,
-            breaker_threshold=1,
+            config=EngineConfig(
+                context_size=3,
+                max_workers=1,
+                executor="process",
+                seed=5,
+                breaker_threshold=1,
+            ),
         )
         engine.breaker.record_failure("simulated crash storm")
         with _serving(engine) as server:
-            status, body = _get(server, "/healthz")
+            status, body = _get(server, "/v1/healthz")
             assert status == 200
             assert body["status"] == "degraded"
             assert "circuit breaker is open" in body["reason"]
-            _, stats = _get(server, "/stats")
+            _, stats = _get(server, "/v1/stats")
             assert stats["breaker"]["state"] == "open"
 
 
@@ -355,7 +363,7 @@ class TestGracefulShutdown:
             assert port, "server did not report its port"
             # One request proves the server is live before the signal.
             with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/healthz", timeout=30
+                f"http://127.0.0.1:{port}/v1/healthz", timeout=30
             ) as response:
                 assert response.status == 200
             process.send_signal(signal.SIGTERM)
@@ -372,7 +380,7 @@ class TestNonStringQueryItems:
     def test_float_query_id_is_400_not_dropped_connection(self, service):
         server, _, _ = service
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(server, "/search", {"query": [1.5]})
+            _post(server, "/v1/search", {"query": [1.5]})
         error = excinfo.value
         assert error.code == 400
         assert "error" in json.loads(error.read())
@@ -380,7 +388,7 @@ class TestNonStringQueryItems:
     def test_get_integer_node_id_resolves(self, service):
         server, _, graph = service
         node_id = graph.node_id("Angela_Merkel")
-        status, body = _get(server, f"/search?query={node_id}")
+        status, body = _get(server, f"/v1/search?query={node_id}")
         assert status == 200
         assert body["query"] == ["Angela_Merkel"]
 
@@ -403,7 +411,7 @@ def _raw(server, path, *, method="GET", payload=None):
 
 
 class TestV1Api:
-    """The versioned surface: /v1 canonical, unprefixed deprecated aliases."""
+    """The versioned surface: every route lives under /v1/."""
 
     def test_v1_routes_answer(self, service):
         server, _, graph = service
@@ -425,55 +433,6 @@ class TestV1Api:
         assert body["snapshot_source"] == "live-graph"
         assert body["uptime_s"] == pytest.approx(engine.uptime_s, abs=5.0)
 
-    def test_alias_parity_error_bodies_byte_identical(self, service):
-        server, _, _ = service
-        status_alias, _, body_alias = _raw(server, "/search")
-        status_v1, _, body_v1 = _raw(server, "/v1/search")
-        assert status_alias == status_v1 == 400
-        assert body_alias == body_v1
-
-    def test_alias_parity_healthz(self, service):
-        server, _, _ = service
-        _, _, alias_bytes = _raw(server, "/healthz")
-        _, _, v1_bytes = _raw(server, "/v1/healthz")
-        alias_body = json.loads(alias_bytes)
-        v1_body = json.loads(v1_bytes)
-        # uptime_s advances between the two calls; all else must match
-        alias_body.pop("uptime_s")
-        v1_body.pop("uptime_s")
-        assert alias_body == v1_body
-
-    def test_alias_parity_search_payload(self, service):
-        server, _, _ = service
-        payload = {"query": ["Angela_Merkel", "Barack_Obama"], "context_size": 3}
-        _, _, v1_bytes = _raw(server, "/v1/search", method="POST", payload=payload)
-        _, _, alias_bytes = _raw(server, "/search", method="POST", payload=payload)
-        v1_body = json.loads(v1_bytes)
-        alias_body = json.loads(alias_bytes)
-        # per-request timing differs; the result payload must not
-        v1_body.pop("elapsed")
-        alias_body.pop("elapsed")
-        v1_body.pop("cached")
-        alias_body.pop("cached")
-        assert v1_body == alias_body
-
-    def test_deprecation_header_only_on_aliases(self, service):
-        server, _, _ = service
-        for alias, canonical in (
-            ("/healthz", "/v1/healthz"),
-            ("/stats", "/v1/stats"),
-            ("/metrics", "/v1/metrics"),
-        ):
-            _, alias_headers, _ = _raw(server, alias)
-            _, v1_headers, _ = _raw(server, canonical)
-            assert alias_headers.get("Deprecation") == "true", alias
-            assert "Deprecation" not in v1_headers, canonical
-
-    def test_deprecation_header_on_error_responses_too(self, service):
-        server, _, _ = service
-        _, headers, _ = _raw(server, "/search")  # 400: missing query
-        assert headers.get("Deprecation") == "true"
-
     def test_metrics_route_serves_prometheus_text(self, service):
         from repro.service.metrics import CONTENT_TYPE, validate_exposition
 
@@ -490,10 +449,51 @@ class TestV1Api:
         assert status == 404
         assert json.loads(body)["code"] == "not_found"
 
-    def test_route_table_aliases_are_complete(self):
+    def test_every_route_is_under_v1(self):
         from repro.service.server import ROUTES
 
-        for spec in ROUTES:
-            assert spec.path.startswith("/v1/")
-            if spec.alias is not None:
-                assert spec.alias == spec.path[len("/v1") :]
+        assert all(spec.path.startswith("/v1/") for spec in ROUTES)
+
+    @pytest.mark.parametrize("path", ["/search", "/healthz"])
+    def test_unprefixed_paths_are_not_found(self, service, path):
+        server, _, _ = service
+        status, headers, body = _raw(server, path)
+        assert status == 404
+        assert json.loads(body)["code"] == "not_found"
+        assert "Deprecation" not in headers
+
+
+def _post_negative_length(server, path):
+    """POST ``Content-Length: -1`` with no body, never half-closing.
+
+    Returns ``(status, body)``. A server that trusts the length blocks in
+    ``rfile.read(-1)`` until EOF, and the socket timeout fails the test.
+    """
+    port = server.server_address[1]
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            "Content-Length: -1\r\n\r\n".encode()
+        )
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestNegativeContentLength:
+    def test_search_answers_400_without_waiting_for_eof(self, service):
+        server, _, _ = service
+        status, body = _post_negative_length(server, "/v1/search")
+        assert status == 400
+        assert body["code"] == "bad_request"
+
+    def test_ingest_answers_400_without_waiting_for_eof(self, tmp_path):
+        registry = SnapshotRegistry(tmp_path / "serving")
+        registry.publish_graph(figure1_graph())
+        engine = NCEngine(registry.open_view(), config=EngineConfig(context_size=3))
+        with _serving(engine, registry=registry) as server:
+            status, body = _post_negative_length(server, "/v1/admin/ingest")
+        assert status == 400
+        assert body["code"] == "bad_batch"

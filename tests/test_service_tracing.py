@@ -12,7 +12,7 @@ import urllib.request
 import pytest
 
 from repro.datasets.figure1 import figure1_graph
-from repro.service.engine import NCEngine
+from repro.service.engine import EngineConfig, NCEngine
 from repro.service.server import create_server
 from repro.service.tracing import (
     SpanContext,
@@ -263,14 +263,16 @@ def _serve_traced(max_batch: int):
     """A live server sampling every request over one process worker."""
     engine = NCEngine(
         figure1_graph(),
-        context_size=3,
-        max_workers=1,
-        executor="process",
-        max_batch=max_batch,
-        batch_window_ms=5.0,
-        seed=7,
-        trace_sample_rate=1.0,
-        trace_buffer=64,
+        config=EngineConfig(
+            context_size=3,
+            max_workers=1,
+            executor="process",
+            max_batch=max_batch,
+            batch_window_ms=5.0,
+            seed=7,
+            trace_sample_rate=1.0,
+            trace_buffer=64,
+        ),
     )
     server = create_server(engine, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

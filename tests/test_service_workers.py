@@ -12,7 +12,7 @@ from repro.datasets.figure1 import figure1_graph
 from repro.errors import DeadlineExceededError
 from repro.parallel.shm import StaleSnapshotError, publish_graph
 from repro.service import faults
-from repro.service.engine import NCEngine
+from repro.service.engine import EngineConfig, NCEngine
 from repro.service.workers import (
     ProcessWorkerPool,
     RemoteQueryError,
@@ -367,13 +367,22 @@ class TestProcessEngine:
     @pytest.mark.slow
     def test_parity_lifecycle_and_no_segment_leaks(self, graph):
         before = _segments()
-        with NCEngine(graph, context_size=3, max_workers=2, seed=5) as thread_engine:
+        with NCEngine(
+            graph,
+            config=EngineConfig(context_size=3, max_workers=2, seed=5),
+        ) as thread_engine:
             thread_results = [
                 thread_engine.search(QUERY),
                 thread_engine.search(["Vladimir_Putin"]),
             ]
         with NCEngine(
-            graph, context_size=3, max_workers=2, executor="process", seed=5
+            graph,
+            config=EngineConfig(
+                context_size=3,
+                max_workers=2,
+                executor="process",
+                seed=5,
+            ),
         ) as engine:
             # -- result parity with the thread backend ---------------------
             process_results = [
@@ -416,7 +425,13 @@ class TestProcessEngine:
 
     def test_deterministic_across_backends_and_cache_clears(self, graph):
         with NCEngine(
-            graph, context_size=3, max_workers=1, executor="process", seed=5
+            graph,
+            config=EngineConfig(
+                context_size=3,
+                max_workers=1,
+                executor="process",
+                seed=5,
+            ),
         ) as engine:
             first = engine.search(QUERY)
             engine.cache.clear()
@@ -428,4 +443,4 @@ class TestProcessEngine:
 
     def test_rejects_unknown_executor(self, graph):
         with pytest.raises(ValueError, match="executor"):
-            NCEngine(graph, executor="fiber")
+            NCEngine(graph, config=EngineConfig(executor="fiber"))

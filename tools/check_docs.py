@@ -60,6 +60,7 @@ DEFAULT_DOCSTRING_PACKAGES = (
     "src/repro/stats",
     "src/repro/walk",
     "src/repro/util",
+    "src/repro/store",
 )
 
 #: Inline markdown links: [text](target). Images share the syntax with a

@@ -53,7 +53,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro.cli import main as repro_main  # noqa: E402
 from repro.disk import SnapshotRegistry  # noqa: E402
-from repro.service.engine import NCEngine  # noqa: E402
+from repro.service.engine import EngineConfig, NCEngine  # noqa: E402
 from repro.service.metrics import CONTENT_TYPE, validate_exposition  # noqa: E402
 from repro.service.server import create_server  # noqa: E402
 
@@ -163,14 +163,16 @@ def main(argv: "list[str] | None" = None) -> int:
 
         engine = NCEngine(
             registry.open_view(),
-            context_size=args.context_size,
-            max_workers=args.workers,
-            executor="process",
-            max_batch=args.max_batch,
-            batch_window_ms=args.batch_window_ms,
-            seed=11,
-            trace_sample_rate=1.0,
-            metrics_exemplars=True,
+            config=EngineConfig(
+                context_size=args.context_size,
+                max_workers=args.workers,
+                executor="process",
+                max_batch=args.max_batch,
+                batch_window_ms=args.batch_window_ms,
+                seed=11,
+                trace_sample_rate=1.0,
+                metrics_exemplars=True,
+            ),
         )
         engine.pin()
         server = create_server(engine, port=0, registry=registry, retain=2)

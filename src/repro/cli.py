@@ -82,16 +82,6 @@ Subcommands
         curl 'http://127.0.0.1:8099/v1/search?query=Angela_Merkel,Barack_Obama'
         curl -X POST 'http://127.0.0.1:8099/v1/admin/reload'
         curl 'http://127.0.0.1:8099/v1/metrics'
-
-``loadgen``
-    Replay Zipf-skewed, entity-centric traffic against a running
-    service (open-loop Poisson arrivals or closed-loop fixed
-    concurrency) and print latency quantiles::
-
-        repro loadgen --url http://127.0.0.1:8099 --mode open \\
-            --rate 50 --duration 10 --zipf-s 1.1
-        repro loadgen --url http://127.0.0.1:8099 --mode closed \\
-            --requests 500 --concurrency 8
 """
 
 from __future__ import annotations
@@ -405,77 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         "events ('json' stamps trace_id on every line)",
     )
 
-    loadgen = sub.add_parser(
-        "loadgen",
-        help="replay Zipf-skewed load against a running service",
-    )
-    loadgen.add_argument(
-        "--url",
-        default="http://127.0.0.1:8099",
-        help="base URL of a running `repro serve` instance",
-    )
-    loadgen.add_argument(
-        "--mode",
-        default="open",
-        choices=("open", "closed"),
-        help="'open': Poisson arrivals at --rate for --duration seconds "
-        "(latency measured from scheduled arrival — no coordinated "
-        "omission); 'closed': --concurrency workers draining --requests",
-    )
-    loadgen.add_argument(
-        "--rate", type=float, default=20.0, help="open-loop arrival rate (req/s)"
-    )
-    loadgen.add_argument(
-        "--duration", type=float, default=10.0, help="open-loop run length (s)"
-    )
-    loadgen.add_argument(
-        "--requests", type=int, default=200, help="closed-loop request count"
-    )
-    loadgen.add_argument(
-        "--concurrency", type=int, default=4, help="closed-loop worker threads"
-    )
-    loadgen.add_argument(
-        "--zipf-s",
-        type=float,
-        default=1.1,
-        help="Zipf skew exponent for entity popularity (larger = hotter head)",
-    )
-    loadgen.add_argument(
-        "--session-length",
-        type=int,
-        default=4,
-        help="mean queries per entity-centric session",
-    )
-    loadgen.add_argument(
-        "--dataset",
-        default="yago",
-        choices=dataset_names(),
-        help="dataset the target service is serving (used to build the "
-        "popularity-ranked entity pool locally)",
-    )
-    loadgen.add_argument("--scale", type=float, default=2.0)
-    loadgen.add_argument(
-        "--entities",
-        type=int,
-        default=128,
-        help="popularity-ranked entity pool size drawn from --dataset",
-    )
-    loadgen.add_argument("--seed", type=int, default=0)
-    loadgen.add_argument(
-        "--timeout", type=float, default=30.0, help="per-request HTTP timeout (s)"
-    )
-    loadgen.add_argument(
-        "--trace-sample-rate",
-        type=float,
-        default=0.0,
-        help="fraction of requests sent with a sampled W3C traceparent "
-        "header; the server echoes X-Trace-Id, and the slowest traced "
-        "requests are reported with their trace ids for triage",
-    )
-    loadgen.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-
     return parser
 
 
@@ -677,42 +596,24 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _validate_serve_args(args: argparse.Namespace) -> "str | None":
-    """The resilience/registry flag sanity checks; an error message or None.
+    """The flag checks ``EngineConfig`` cannot make; an error message or None.
 
-    Kept separate from :func:`_cmd_serve` so unit tests can cover every
-    rejection without binding sockets or loading datasets.
+    These cover the registry, polling and drain flags, which never reach
+    the engine. Engine settings are checked by ``EngineConfig`` itself
+    (:func:`_serve_config`). Kept separate from :func:`_cmd_serve` so
+    unit tests can cover every rejection without binding sockets or
+    loading datasets.
     """
     if args.snapshot is not None and args.snapshot_dir is not None:
         return "--snapshot and --snapshot-dir are mutually exclusive"
     if args.retain < 1:
         return f"--retain must be >= 1, got {args.retain}"
-    if args.request_timeout is not None and args.request_timeout <= 0:
-        return f"--request-timeout must be positive, got {args.request_timeout}"
-    if args.max_pending is not None and args.max_pending < 1:
-        return f"--max-pending must be positive, got {args.max_pending}"
-    if args.retries < 0:
-        return f"--retries must be >= 0, got {args.retries}"
     if args.drain_timeout < 0:
         return f"--drain-timeout must be >= 0, got {args.drain_timeout}"
-    if args.batch_window_ms < 0:
-        return f"--batch-window-ms must be >= 0, got {args.batch_window_ms}"
-    if args.max_batch < 1:
-        return f"--max-batch must be >= 1, got {args.max_batch}"
-    if args.max_batch > 1 and args.executor != "process":
-        return "--max-batch > 1 requires --executor process (micro-batching is a worker-pool feature)"
     if args.poll_interval < 0:
         return f"--poll-interval must be >= 0, got {args.poll_interval}"
     if args.poll_interval > 0 and args.snapshot_dir is None:
         return "--poll-interval requires --snapshot-dir (nothing to poll)"
-    if not 0.0 <= args.trace_sample_rate <= 1.0:
-        return (
-            f"--trace-sample-rate must be within [0, 1], "
-            f"got {args.trace_sample_rate}"
-        )
-    if args.slow_query_ms is not None and args.slow_query_ms <= 0:
-        return f"--slow-query-ms must be positive, got {args.slow_query_ms}"
-    if args.trace_buffer < 1:
-        return f"--trace-buffer must be >= 1, got {args.trace_buffer}"
     if (
         args.request_timeout is not None
         and args.drain_timeout > 0
@@ -726,18 +627,66 @@ def _validate_serve_args(args: argparse.Namespace) -> "str | None":
     return None
 
 
+#: ``EngineConfig`` fields whose ``repro serve`` flag is not ``--<field>``.
+_SERVE_FLAG_NAMES = {"max_workers": "--workers"}
+
+
+def _serve_config(args: argparse.Namespace):
+    """The ``EngineConfig`` of a ``repro serve`` command line.
+
+    Raises ``ValueError`` naming the offending flag, rewritten from the
+    field name that ``EngineConfig`` reports.
+    """
+    from repro.service.engine import EngineConfig
+
+    if args.snapshot_dir is not None:
+        snapshot_source = f"registry:{args.snapshot_dir}"
+    elif args.snapshot is not None:
+        snapshot_source = f"snapshot:{args.snapshot}"
+    else:
+        snapshot_source = f"dataset:{args.dataset}@{args.scale}"
+    try:
+        return EngineConfig(
+            context_size=args.context_size,
+            alpha=args.alpha,
+            cache_size=args.cache_size,
+            max_workers=args.workers,
+            executor=args.executor,
+            seed=args.seed,
+            request_timeout=args.request_timeout,
+            max_pending=args.max_pending,
+            retries=args.retries,
+            snapshot_source=snapshot_source,
+            batch_window_ms=args.batch_window_ms,
+            max_batch=args.max_batch,
+            trace_sample_rate=args.trace_sample_rate,
+            slow_query_ms=args.slow_query_ms,
+            trace_buffer=args.trace_buffer,
+            metrics_exemplars=args.metrics_exemplars,
+        )
+    except ValueError as error:
+        field, _, rest = str(error).partition(" ")
+        flag = _SERVE_FLAG_NAMES.get(field, "--" + field.replace("_", "-"))
+        raise ValueError(f"{flag} {rest}") from None
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
     import time as time_module
 
     from repro.service import faults
-    from repro.service.engine import EngineConfig, NCEngine
+    from repro.service.engine import NCEngine
     from repro.service.server import NCRequestHandler, RegistryPoller, create_server
     from repro.service.tracing import set_log_format
 
     problem = _validate_serve_args(args)
+    if problem is None:
+        try:
+            config = _serve_config(args)
+        except ValueError as error:
+            problem = str(error)
     if problem is not None:
-        print(problem)
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     set_log_format(args.log_format)
     injector = faults.install_from_env()
@@ -763,30 +712,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         graph = open_snapshot_view(args.snapshot)
     else:
         graph = load_dataset(args.dataset, scale=args.scale)
-    if args.snapshot_dir is not None:
-        snapshot_source = f"registry:{args.snapshot_dir}"
-    elif args.snapshot is not None:
-        snapshot_source = f"snapshot:{args.snapshot}"
-    else:
-        snapshot_source = f"dataset:{args.dataset}@{args.scale}"
-    config = EngineConfig(
-        context_size=args.context_size,
-        alpha=args.alpha,
-        cache_size=args.cache_size,
-        max_workers=args.workers,
-        executor=args.executor,
-        seed=args.seed,
-        request_timeout=args.request_timeout,
-        max_pending=args.max_pending,
-        retries=args.retries,
-        snapshot_source=snapshot_source,
-        batch_window_ms=args.batch_window_ms,
-        max_batch=args.max_batch,
-        trace_sample_rate=args.trace_sample_rate,
-        slow_query_ms=args.slow_query_ms,
-        trace_buffer=args.trace_buffer,
-        metrics_exemplars=args.metrics_exemplars,
-    )
     engine = NCEngine(graph, config=config)
     engine.pin()  # compile + publish/freeze shared state before accepting traffic
     NCRequestHandler.quiet = not args.verbose
@@ -855,78 +780,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.service.loadgen import (
-        LoadProfile,
-        build_schedule,
-        entity_ranking,
-        http_target,
-        run_load,
-    )
-
-    try:
-        profile = LoadProfile(
-            mode=args.mode,
-            requests=args.requests,
-            duration_s=args.duration,
-            rate=args.rate,
-            concurrency=args.concurrency,
-            zipf_s=args.zipf_s,
-            session_length=args.session_length,
-            seed=args.seed,
-        )
-    except ValueError as error:
-        print(error)
-        return 2
-    if not 0.0 <= args.trace_sample_rate <= 1.0:
-        print(
-            f"--trace-sample-rate must be within [0, 1], "
-            f"got {args.trace_sample_rate}"
-        )
-        return 2
-    graph = load_dataset(args.dataset, scale=args.scale)
-    entities = entity_ranking(graph, limit=args.entities)
-    schedule, skew = build_schedule(entities, profile)
-    target = http_target(
-        args.url,
-        timeout_s=args.timeout,
-        trace_sample_rate=args.trace_sample_rate,
-        seed=args.seed,
-    )
-    # With --json, stdout is reserved for the report so it pipes cleanly.
-    print(
-        f"replaying {len(schedule)} {args.mode}-loop requests against "
-        f"{args.url} (zipf_s={args.zipf_s}, "
-        f"{skew['distinct_pairs']} distinct pairs, "
-        f"top pair {skew['top_pair_share']:.1%} of traffic)",
-        file=sys.stderr if args.json else sys.stdout,
-    )
-    report = run_load(target, schedule, profile)
-    summary = report.summary()
-    if args.json:
-        payload = dict(summary)
-        payload["skew"] = skew
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0 if report.completed else 1
-    latency = summary["latency_s"]
-    print(
-        f"completed {report.completed}/{report.requests} in "
-        f"{report.duration_s:.2f}s ({report.achieved_rps:.1f} req/s)"
-    )
-    print(
-        f"latency_s: mean={latency['mean']:.4f} p50={latency['p50']:.4f} "
-        f"p90={latency['p90']:.4f} p99={latency['p99']:.4f} "
-        f"max={latency['max']:.4f}"
-    )
-    if report.errors:
-        print(f"errors: {dict(report.errors)}")
-    if report.slowest:
-        print("slowest traced requests (GET /v1/debug/traces/<trace_id>):")
-        for entry in report.slowest:
-            print(f"  {entry['latency_s']:.4f}s  {entry['trace_id']}")
-    return 0 if report.completed else 1
-
-
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -940,7 +793,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "compact": _cmd_compact,
         "inspect": _cmd_inspect,
         "serve": _cmd_serve,
-        "loadgen": _cmd_loadgen,
     }
     try:
         return handlers[args.command](args)

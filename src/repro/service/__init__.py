@@ -15,9 +15,9 @@ between registry versions while serving
 ``repro serve --snapshot-dir``). The HTTP surface lives under the
 versioned ``/v1/`` prefix; :mod:`repro.service.metrics` exports every
 layer's counters/histograms in Prometheus text format at
-``GET /v1/metrics``, and :mod:`repro.service.loadgen` replays
-Zipf-skewed, entity-centric traffic against it (``repro loadgen``).
-See ``src/repro/service/README.md``, ``docs/ARCHITECTURE.md``, and the
+``GET /v1/metrics``. The service's load benchmark is ``perfbench/run.py``
+at the repository root, which also checks every answer it gets. See
+``src/repro/service/README.md``, ``docs/ARCHITECTURE.md``, and the
 operator guide ``docs/OPERATIONS.md``.
 """
 
@@ -31,13 +31,6 @@ from repro.service.engine import (
     SwapOutcome,
 )
 from repro.service.faults import FaultInjector, FaultRule
-from repro.service.loadgen import (
-    LoadEvent,
-    LoadProfile,
-    LoadReport,
-    build_schedule,
-    run_load,
-)
 from repro.service.metrics import (
     Counter,
     Gauge,
@@ -65,9 +58,6 @@ __all__ = [
     "FaultRule",
     "Gauge",
     "Histogram",
-    "LoadEvent",
-    "LoadProfile",
-    "LoadReport",
     "MetricsRegistry",
     "NCEngine",
     "NCServiceServer",
@@ -78,10 +68,8 @@ __all__ = [
     "ServiceMetrics",
     "SwapOutcome",
     "WorkerPoolStats",
-    "build_schedule",
     "create_server",
     "outcome_to_json",
     "reload_from_registry",
-    "run_load",
     "validate_exposition",
 ]

@@ -274,7 +274,8 @@ class EngineConfig:
     #: Micro-batching (process executor only): gather up to ``max_batch``
     #: concurrent requests pinned to the same snapshot for at most
     #: ``batch_window_ms`` and execute them with one shared power
-    #: iteration per worker round-trip. ``max_batch=1`` disables batching.
+    #: iteration per worker round-trip. ``max_batch=1`` disables batching;
+    #: ``max_batch > 1`` with the thread executor is rejected.
     batch_window_ms: float = 0.0
     max_batch: int = 1
     #: Request tracing (see :mod:`repro.service.tracing`):
@@ -307,11 +308,11 @@ class EngineConfig:
             )
         if self.request_timeout is not None and self.request_timeout <= 0:
             raise ValueError(
-                f"request_timeout must be > 0, got {self.request_timeout}"
+                f"request_timeout must be positive, got {self.request_timeout}"
             )
         if self.max_pending is not None and self.max_pending < 1:
             raise ValueError(
-                f"max_pending must be >= 1, got {self.max_pending}"
+                f"max_pending must be positive, got {self.max_pending}"
             )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
@@ -333,6 +334,11 @@ class EngineConfig:
             )
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
+        if self.max_batch > 1 and self.executor != "process":
+            raise ValueError(
+                "max_batch > 1 requires the process executor (micro-batching "
+                f"is a worker-pool feature), got executor={self.executor!r}"
+            )
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ValueError(
                 f"trace_sample_rate must be within [0, 1], got "
@@ -340,7 +346,7 @@ class EngineConfig:
             )
         if self.slow_query_ms is not None and self.slow_query_ms <= 0:
             raise ValueError(
-                f"slow_query_ms must be > 0, got {self.slow_query_ms}"
+                f"slow_query_ms must be positive, got {self.slow_query_ms}"
             )
         if self.trace_buffer < 1:
             raise ValueError(
@@ -611,7 +617,7 @@ class NCEngine:
         # (otherwise the dispatch layer itself would cap batch sizes at
         # max_workers).
         dispatch_width = config.max_workers
-        if config.executor == "process" and config.max_batch > 1:
+        if config.max_batch > 1:  # implies the process executor
             dispatch_width = config.max_workers * config.max_batch
         self._executor = ThreadPoolExecutor(
             max_workers=dispatch_width, thread_name_prefix="nc-query"

@@ -65,9 +65,14 @@ Endpoints (full request/response reference: ``docs/OPERATIONS.md``)
     adopted through the same hot-swap path as ``/v1/admin/reload`` in a
     background thread — reads never block and never drop. ``?wait=1``
     runs merge + swap before responding (deterministic for tests and
-    soak gates). Unparseable bodies answer ``400`` with
-    ``code: "bad_batch"``; batches that net out to nothing answer
-    ``{"accepted": false}`` without writing anything.
+    benchmarks). Unparseable or truncated bodies answer ``400`` with
+    ``code: "bad_batch"`` and write nothing; batches that net out to
+    nothing answer ``{"accepted": false}`` without writing anything.
+
+Both ``POST`` routes read at most :data:`MAX_BODY_BYTES` (a longer
+``Content-Length`` answers ``413`` with ``code: "payload_too_large"``),
+and a connection whose reads stall for :attr:`NCRequestHandler.timeout`
+seconds is closed without an answer.
 
 Every request is recorded in the engine's metrics registry
 (``nc_http_requests_total{route,method,status}`` and the per-route
@@ -110,6 +115,11 @@ DEFAULT_ERROR_CODES = {
     503: "unavailable",
     504: "deadline_exceeded",
 }
+
+#: Largest request body ``POST /v1/search`` and ``/v1/admin/ingest``
+#: accept. A longer ``Content-Length`` answers 413 ``payload_too_large``
+#: without reading the body; larger batches go through ``repro ingest``.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -428,6 +438,10 @@ class NCRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-nc-service/1.0"
     #: Silenced by default; ``repro serve --verbose`` re-enables it.
     quiet = True
+    #: Seconds a socket read or write may stall before the connection is
+    #: dropped, so a client that never sends its declared body cannot
+    #: hold a handler thread forever.
+    timeout = 30.0
 
     # -- helpers -----------------------------------------------------------
 
@@ -501,10 +515,12 @@ class NCRequestHandler(BaseHTTPRequestHandler):
         )
 
     def _read_body(self, code: str) -> "bytes | None":
-        """The request body, or ``None`` after answering 400 with ``code``.
+        """The request body, or ``None`` after answering an error.
 
-        ``Content-Length`` must be a non-negative integer: a negative one
-        would make ``rfile.read`` block until the client half-closes.
+        ``Content-Length`` must be a non-negative integer (a negative one
+        would make ``rfile.read`` block until the client half-closes) and
+        the client must send all of it; either failure answers 400 with
+        ``code``. A length above :data:`MAX_BODY_BYTES` answers 413.
         """
         raw = self.headers.get("Content-Length", "0")
         try:
@@ -518,7 +534,23 @@ class NCRequestHandler(BaseHTTPRequestHandler):
                 code=code,
             )
             return None
-        return self.rfile.read(length)
+        if length > MAX_BODY_BYTES:
+            self._send_error_json(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+                code="payload_too_large",
+            )
+            return None
+        body = self.rfile.read(length)
+        if len(body) < length:
+            self._send_error_json(
+                400,
+                f"request body ended after {len(body)} of {length} bytes",
+                code=code,
+            )
+            return None
+        return body
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         """Per-request stderr logging, silenced unless ``--verbose``."""

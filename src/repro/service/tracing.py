@@ -15,8 +15,9 @@ Sampling and retention
 * **Head sampling** (``--trace-sample-rate``): each request flips a
   seeded coin at trace start; sampled traces are always retained. An
   inbound ``traceparent`` header with the ``01`` (sampled) flag forces
-  the decision — which is how ``repro loadgen --trace-sample-rate``
-  samples client-side and still gets server trace ids back.
+  the decision, so a client can sample its own requests
+  (``curl -H 'traceparent: 00-<trace-id>-<span-id>-01'``) and read each
+  trace id back from ``X-Trace-Id``.
 * **Tail capture** (``--slow-query-ms``): when a slow-query threshold is
   configured, *every* request records spans so that any request that
   errors (HTTP 5xx) or exceeds the threshold can be force-retained even

@@ -252,7 +252,9 @@ class TestPublishInspectCommands:
             ]
         )
         assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().out
+        assert "error: --snapshot and --snapshot-dir are mutually exclusive" in (
+            capsys.readouterr().err
+        )
 
     def test_serve_empty_registry_fails(self, capsys, tmp_path):
         registry_dir = tmp_path / "serving"
@@ -303,12 +305,18 @@ class TestServeResilienceFlags:
                 ["--request-timeout", "10", "--drain-timeout", "2"],
                 "must not be shorter than --request-timeout",
             ),
+            (["--workers", "0"], "--workers must be >= 1"),
+            (["--max-batch", "4"], "--max-batch > 1 requires the process executor"),
         ],
     )
     def test_nonsensical_flags_rejected(self, capsys, argv, message):
         code = main(["serve", *argv])
         assert code == 2
-        assert message in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert message in line
 
     def test_zero_drain_timeout_is_valid(self):
         from repro.cli import _validate_serve_args
@@ -367,19 +375,8 @@ class TestServeTracingFlags:
     def test_nonsensical_flags_rejected(self, capsys, argv, message):
         code = main(["serve", *argv])
         assert code == 2
-        assert message in capsys.readouterr().out
-
-    def test_loadgen_trace_sample_rate_validated(self, capsys):
-        code = main(
-            [
-                "loadgen",
-                "--url",
-                "http://127.0.0.1:1",
-                "--trace-sample-rate",
-                "2.0",
-            ]
-        )
-        assert code == 2
-        assert "--trace-sample-rate must be within [0, 1]" in (
-            capsys.readouterr().out
-        )
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert message in line

@@ -185,8 +185,13 @@ class TestEngineConfig:
             EngineConfig(max_workers=0)
         with pytest.raises(ValueError, match="executor must be"):
             EngineConfig(executor="fiber")
-        with pytest.raises(ValueError, match="request_timeout must be > 0"):
+        with pytest.raises(ValueError, match="request_timeout must be positive"):
             EngineConfig(request_timeout=0)
+
+    def test_max_batch_needs_the_process_executor(self):
+        with pytest.raises(ValueError, match="requires the process executor"):
+            EngineConfig(max_batch=4)
+        assert EngineConfig(executor="process", max_batch=4).max_batch == 4
 
     def test_config_is_the_only_construction_form(self):
         graph = figure1_graph()

@@ -13,7 +13,12 @@ from repro.datasets.figure1 import figure1_graph
 from repro.disk import SnapshotRegistry
 from repro.service import faults
 from repro.service.engine import EngineConfig, NCEngine
-from repro.service.server import create_server, outcome_to_json
+from repro.service.server import (
+    MAX_BODY_BYTES,
+    NCRequestHandler,
+    create_server,
+    outcome_to_json,
+)
 
 
 @pytest.fixture(scope="module")
@@ -463,37 +468,101 @@ class TestV1Api:
         assert "Deprecation" not in headers
 
 
-def _post_negative_length(server, path):
-    """POST ``Content-Length: -1`` with no body, never half-closing.
+def _raw_post(server, path, length, body=b"", half_close=False):
+    """POST ``Content-Length: length`` then ``body`` over a raw socket.
 
-    Returns ``(status, body)``. A server that trusts the length blocks in
-    ``rfile.read(-1)`` until EOF, and the socket timeout fails the test.
+    The client half-closes only when ``half_close`` is set. Returns the
+    raw response bytes, ``b""`` when the server closed without answering.
+    A server that waits for bytes that never come fails the test on the
+    socket timeout.
     """
     port = server.server_address[1]
     with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
         sock.sendall(
             f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-            "Content-Length: -1\r\n\r\n".encode()
+            f"Content-Length: {length}\r\n\r\n".encode() + body
         )
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
         response = b""
         while chunk := sock.recv(65536):
             response += chunk
+    return response
+
+
+def _parse(response):
+    """``(status, JSON body)`` of a raw HTTP response."""
     head, _, body = response.partition(b"\r\n\r\n")
     return int(head.split()[1]), json.loads(body)
+
+
+#: One N-Triples add line, 32 bytes: sent under a larger declared length.
+PARTIAL_BATCH = b"+ <short_a> <knows> <short_b> .\n"
+
+
+@contextlib.contextmanager
+def _ingest_server(tmp_path):
+    """A registry-backed live server over figure 1 (version 1)."""
+    registry = SnapshotRegistry(tmp_path / "serving")
+    registry.publish_graph(figure1_graph())
+    engine = NCEngine(registry.open_view(), config=EngineConfig(context_size=3))
+    with _serving(engine, registry=registry) as server:
+        yield server, registry, engine
 
 
 class TestNegativeContentLength:
     def test_search_answers_400_without_waiting_for_eof(self, service):
         server, _, _ = service
-        status, body = _post_negative_length(server, "/v1/search")
+        status, body = _parse(_raw_post(server, "/v1/search", -1))
         assert status == 400
         assert body["code"] == "bad_request"
 
     def test_ingest_answers_400_without_waiting_for_eof(self, tmp_path):
-        registry = SnapshotRegistry(tmp_path / "serving")
-        registry.publish_graph(figure1_graph())
-        engine = NCEngine(registry.open_view(), config=EngineConfig(context_size=3))
-        with _serving(engine, registry=registry) as server:
-            status, body = _post_negative_length(server, "/v1/admin/ingest")
+        with _ingest_server(tmp_path) as (server, _, _):
+            status, body = _parse(_raw_post(server, "/v1/admin/ingest", -1))
         assert status == 400
         assert body["code"] == "bad_batch"
+
+    def test_search_short_body_answers_400(self, service):
+        server, _, _ = service
+        complete_json = b'{"query": ["Angela_Merkel", "Barack_Obama"]}'
+        response = _raw_post(server, "/v1/search", 100, complete_json, half_close=True)
+        status, body = _parse(response)
+        assert status == 400
+        assert body["code"] == "bad_request"
+
+    def test_ingest_short_body_appends_nothing(self, tmp_path):
+        with _ingest_server(tmp_path) as (server, registry, engine):
+            response = _raw_post(
+                server,
+                "/v1/admin/ingest?wait=1",
+                100,
+                PARTIAL_BATCH,
+                half_close=True,
+            )
+            rejected = engine.metrics.ingest_batches.value(status="rejected")
+        status, body = _parse(response)
+        assert status == 400
+        assert body["code"] == "bad_batch"
+        assert rejected == 1
+        assert registry.pending_runs() == []
+        assert registry.latest().version == 1
+
+    def test_silent_client_is_dropped(self, service, monkeypatch):
+        # The stdlib default is None: block on the socket forever.
+        assert NCRequestHandler.timeout is not None
+        assert NCRequestHandler.timeout > 0
+        monkeypatch.setattr(NCRequestHandler, "timeout", 0.3)
+        server, _, _ = service
+        assert _raw_post(server, "/v1/search", 100) == b""
+
+    def test_oversized_length_answers_413_unread(self, tmp_path):
+        with _ingest_server(tmp_path) as (server, registry, engine):
+            status, body = _parse(
+                _raw_post(server, "/v1/admin/ingest", MAX_BODY_BYTES + 1)
+            )
+            rejected = engine.metrics.ingest_batches.value(status="rejected")
+        assert status == 413
+        assert body["code"] == "payload_too_large"
+        assert rejected == 1
+        assert registry.latest().version == 1

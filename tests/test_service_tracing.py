@@ -13,6 +13,7 @@ import pytest
 
 from repro.datasets.figure1 import figure1_graph
 from repro.service.engine import EngineConfig, NCEngine
+from repro.service.metrics import validate_exposition
 from repro.service.server import create_server
 from repro.service.tracing import (
     SpanContext,
@@ -29,6 +30,17 @@ from repro.service.tracing import (
 
 TRACE_ID = "0af7651916cd43dd8448eb211c80319c"
 SPAN_ID = "b7ad6b7169203331"
+
+#: Families ``/v1/metrics`` must type on a process-executor server: the
+#: HTTP layer, hot swaps, micro-batching and live ingest.
+SERVING_FAMILIES = {
+    "nc_http_requests_total": "counter",
+    "nc_http_request_latency_seconds": "histogram",
+    "nc_engine_swaps_total": "counter",
+    "nc_worker_batch_size": "histogram",
+    "nc_ingest_batches_total": "counter",
+    "nc_delta_depth": "gauge",
+}
 
 
 class TestTraceparent:
@@ -272,6 +284,7 @@ def _serve_traced(max_batch: int):
             seed=7,
             trace_sample_rate=1.0,
             trace_buffer=64,
+            metrics_exemplars=True,
         ),
     )
     server = create_server(engine, port=0)
@@ -414,6 +427,36 @@ class TestHttpTracing:
         """The full span tree: http → engine → pool → worker, nested."""
         server, _ = traced_service
         _assert_stitched_tree(server)
+
+    def test_metrics_exemplar_and_serving_families(self, traced_service):
+        """A traced worker search leaves its trace id as an exemplar on the
+        HTTP latency histogram, in an exposition that validates strictly
+        and types every serving, batching and ingest family."""
+        server, _ = traced_service
+        _, headers, _ = _get(server, "/v1/search?query=Vladimir_Putin,Matteo_Renzi")
+        exemplar = f'# {{trace_id="{headers["X-Trace-Id"]}"}}'
+        port = server.server_address[1]
+        deadline = time.monotonic() + 5.0
+        while True:  # the exemplar is recorded after the response write
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{port}/v1/metrics"
+            ) as response:
+                text = response.read().decode("utf-8")
+            buckets = [
+                line
+                for line in text.splitlines()
+                if line.startswith(
+                    'nc_http_request_latency_seconds_bucket{route="search",'
+                )
+            ]
+            if any(exemplar in line for line in buckets):
+                break
+            assert time.monotonic() < deadline, buckets
+            time.sleep(0.02)
+        families = validate_exposition(text)
+        assert {
+            family: families.get(family) for family in SERVING_FAMILIES
+        } == SERVING_FAMILIES
 
     def test_span_shape_does_not_depend_on_batching(
         self, unbatched_traced_service

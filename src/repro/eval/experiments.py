@@ -14,6 +14,8 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro.core.context import ContextRW, ContextSelector, RandomWalkContext
 from repro.core.discrimination import (
     EMDDiscriminator,
@@ -226,12 +228,38 @@ def query_size_sweep(
 
 # -- Figure 5: time vs query size ---------------------------------------------------
 
+#: ``select`` calls per point of the timing figures (5 and 6). One call
+#: on a shared host swings by more than the shapes the paper claims; the
+#: median of several does not.
+TIMING_REPEATS = 5
+
+
+def _timed_select(make_selector, query: tuple, context_size: int, repeats: int) -> list:
+    """``[median, repeats, q1, q3]`` seconds of ``repeats`` ``select`` calls.
+
+    Each call gets a fresh selector from ``make_selector``, seeded the same
+    way, so every repeat does the same work and only the host's noise
+    differs between them.
+    """
+    if repeats < 1:
+        raise ExperimentError(f"repeats must be >= 1, got {repeats}")
+    seconds = []
+    for _ in range(repeats):
+        selector = make_selector()
+        started = time.perf_counter()
+        selector.select(query, context_size)
+        seconds.append(time.perf_counter() - started)
+    q1, median, q3 = np.percentile(seconds, [25, 50, 75]).tolist()
+    return [median, repeats, q1, q3]
+
+
 def time_vs_query_size(
     setting: ExperimentSetting | None = None,
     *,
     query_sizes: Sequence[int] = (1, 2, 3, 4, 5),
     context_size: int = 100,
     pagerank_backend: str = "python",
+    repeats: int = TIMING_REPEATS,
 ) -> Table:
     """Figure 5: wall-clock seconds per algorithm as |Q| grows.
 
@@ -239,6 +267,9 @@ def time_vs_query_size(
     per query node; ``pagerank_backend='python'`` (default here) measures
     it on the same interpreted substrate as ContextRW's walks, mirroring
     the paper's single-runtime (Java/Jena) setup — see DESIGN.md.
+
+    ``seconds`` is the median of ``repeats`` calls, each on a fresh
+    seeded selector; ``q1_seconds`` and ``q3_seconds`` are their quartiles.
     """
     setting = setting or ExperimentSetting(pagerank_backend=pagerank_backend)
     setting = replace(setting, pagerank_backend=pagerank_backend)
@@ -246,9 +277,8 @@ def time_vs_query_size(
     domain = setting.domain_spec()
     index = EntityIndex(graph)
     all_ids = [index.resolve(name) for name in domain.entities]
-    selectors = make_selectors(setting, graph)
     table = Table(
-        ["algorithm", "query_size", "seconds"],
+        ["algorithm", "query_size", "seconds", "repeats", "q1_seconds", "q3_seconds"],
         title="Figure 5: time vs |Q|",
         float_format=".4f",
     )
@@ -256,10 +286,14 @@ def time_vs_query_size(
         if size > len(all_ids):
             raise ExperimentError(f"domain has only {len(all_ids)} entities")
         query = tuple(all_ids[:size])
-        for name, selector in selectors.items():
-            started = time.perf_counter()
-            selector.select(query, context_size)
-            table.add_row([name, size, time.perf_counter() - started])
+        for name in make_selectors(setting, graph):
+            timing = _timed_select(
+                lambda name=name: make_selectors(setting, graph)[name],
+                query,
+                context_size,
+                repeats,
+            )
+            table.add_row([name, size, *timing])
     return table
 
 
@@ -271,30 +305,38 @@ def time_vs_path_length(
     max_lengths: Sequence[int] = (5, 10, 15, 20),
     query_sizes: Sequence[int] = (2, 3, 4, 5, 6),
     samples: int | None = None,
+    repeats: int = TIMING_REPEATS,
 ) -> Table:
-    """Figure 6: ContextRW time as the maximum metapath length grows."""
+    """Figure 6: ContextRW time as the maximum metapath length grows.
+
+    ``seconds`` is the median of ``repeats`` calls, each on a fresh
+    seeded selector; ``q1_seconds`` and ``q3_seconds`` are their quartiles.
+    """
     setting = setting or ExperimentSetting()
     graph = setting.graph()
     index = EntityIndex(graph)
     domain = setting.domain_spec()
     all_ids = [index.resolve(name) for name in domain.entities]
     table = Table(
-        ["query_size", "max_length", "seconds"],
+        ["query_size", "max_length", "seconds", "repeats", "q1_seconds", "q3_seconds"],
         title="Figure 6: time vs max metapath length",
         float_format=".4f",
     )
     for query_size in query_sizes:
         query = tuple(all_ids[:query_size])
         for max_length in max_lengths:
-            selector = ContextRW(
-                graph,
-                rng=setting.algorithm_seed,
-                max_length=max_length,
-                samples=samples,
+            timing = _timed_select(
+                lambda max_length=max_length: ContextRW(
+                    graph,
+                    rng=setting.algorithm_seed,
+                    max_length=max_length,
+                    samples=samples,
+                ),
+                query,
+                100,
+                repeats,
             )
-            started = time.perf_counter()
-            selector.select(query, 100)
-            table.add_row([query_size, max_length, time.perf_counter() - started])
+            table.add_row([query_size, max_length, *timing])
     return table
 
 

@@ -39,14 +39,19 @@ from repro.service.metrics import (
     ServiceMetrics,
     validate_exposition,
 )
-from repro.service.server import (
-    NCServiceServer,
-    RegistryPoller,
-    create_server,
-    outcome_to_json,
-    reload_from_registry,
-)
 from repro.service.workers import ProcessWorkerPool, WorkerPoolStats
+
+#: Names served from :mod:`repro.service.server` on first use (PEP 562).
+#: Every spawned worker imports this package, and the HTTP server module
+#: would bring ``http.server`` and ``ssl`` into processes that never
+#: serve HTTP.
+_SERVER_NAMES = frozenset({
+    "NCServiceServer",
+    "RegistryPoller",
+    "create_server",
+    "outcome_to_json",
+    "reload_from_registry",
+})
 
 __all__ = [
     "CacheStats",
@@ -73,3 +78,15 @@ __all__ = [
     "reload_from_registry",
     "validate_exposition",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SERVER_NAMES:
+        from repro.service import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> "list[str]":
+    return sorted(set(globals()) | _SERVER_NAMES)

@@ -44,11 +44,13 @@ the halves' partial outcomes instead of the outcome space.
 The Monte-Carlo estimate counts how many of ``samples`` draws from
 ``Mult(N, pi)`` are at most as likely as ``x``. How a draw is made depends
 only on ``N`` and the number ``k`` of positive cells. With fewer
-observations than cells (``N < k``, every served wide shape) a draw is
-``N`` categorical cell indices by inverse-CDF search, scored without a
-count vector, so a draw costs ``O(N log k)`` instead of ``O(k)``.
-Otherwise a draw is a dense ``k``-cell count vector from
-``Generator.multinomial``. Both give the same distribution of outcomes;
+observations than cells (``N < k``, nearly every served wide shape) a
+draw is ``N`` categorical cell indices, looked up in a guide table with
+a binary search only for the few keys the table leaves ambiguous, and
+scored column by column without a count vector, so a draw costs a sort
+of ``N`` uniforms and ``O(N)`` lookups instead of ``O(k)``. Otherwise a
+draw is a dense ``k``-cell count vector from ``Generator.multinomial``.
+Both give the same distribution of outcomes;
 ``tests/test_stats_multinomial.py`` calibrates each against the exact
 test.
 """
@@ -73,6 +75,11 @@ LOG_TIE_TOLERANCE = 1e-9
 #: so the shape is refused. :func:`multinomial_test` does not consult it:
 #: its own outcome limit hands wide shapes to Monte-Carlo first.
 MAX_EXACT_PARTIALS = 10_000_000
+
+#: Guide-table buckets per cell in the Monte-Carlo categorical sampler
+#: (:func:`_categorical_cells`). More buckets leave fewer keys to a
+#: binary search (about 3% at 16) for a larger table to build.
+GUIDE_BUCKETS_PER_CELL = 16
 
 
 @dataclass(frozen=True)
@@ -391,20 +398,24 @@ def _categorical_log_pmfs(
 
     ``log Pr(y) = lgamma(n + 1) + sum_j log pi[c_j] - sum_i lgamma(y_i + 1)``
     for a draw's sorted cells ``c_1 <= ... <= c_n``, without a count
-    vector: the ``r``-th copy of a cell in a row has run-rank ``r``, and
+    vector: the ``r``-th copy of a cell in a draw has run-rank ``r``, and
     the log run-ranks of a cell's ``y_i`` copies sum to ``lgamma(y_i + 1)``.
+    The draws are scored column by column, all ``samples`` at once: step
+    ``j`` adds ``log pi[c_j]`` and the log of ``c_j``'s run-rank, which is
+    one more than ``c_{j-1}``'s when the two cells are equal and 1
+    otherwise. So ``n - 1`` vector steps score every draw.
     """
-    cells = _categorical_cells(generator, pi, n, samples)
-    positions = np.arange(n)
-    run_start = np.zeros(cells.shape, dtype=np.int64)
-    run_start[:, 1:] = np.where(cells[:, 1:] != cells[:, :-1], positions[1:], 0)
-    np.maximum.accumulate(run_start, axis=1, out=run_start)
+    columns = _categorical_cells(generator, pi, n, samples).T
     log_rank = np.log(np.arange(1, n + 1))
-    return (
-        math.lgamma(n + 1)
-        + log_pi[cells].sum(axis=1)
-        - log_rank[positions - run_start].sum(axis=1)
-    )
+    log_pis = log_pi.take(columns[0])
+    log_ranks = np.zeros(samples)
+    rank = np.zeros(samples, dtype=np.intp)  # run-rank minus one
+    for j in range(1, n):
+        rank += 1
+        rank *= columns[j] == columns[j - 1]
+        log_pis += log_pi.take(columns[j])
+        log_ranks += log_rank.take(rank)
+    return math.lgamma(n + 1) + log_pis - log_ranks
 
 
 def _categorical_cells(
@@ -413,15 +424,43 @@ def _categorical_cells(
     """``samples`` rows of ``n`` cell indices drawn from ``pi``, each row sorted.
 
     Inverse-CDF sampling: a uniform ``u`` picks the first cell whose
-    cumulative mass exceeds ``u * total``. A zero cell spans an empty
-    interval of the CDF, so it is never picked. The pick is monotone in
-    ``u``, so sorting each row's uniforms sorts its cells, and the binary
-    searches run on ascending keys.
+    cumulative mass exceeds the key ``u * total``. A zero cell spans an
+    empty interval of the CDF, so it is never picked. The pick is
+    monotone in ``u``, so sorting each row's uniforms sorts its cells.
+
+    The pick is looked up in a guide table (Chen & Asau, 1974) of
+    :data:`GUIDE_BUCKETS_PER_CELL` buckets per cell, equal slices of
+    ``[0, total)``. A bucket holds the first cell whose cumulative mass
+    exceeds the bucket's lower edge, and a key takes its bucket's cell
+    as a candidate. Every cell before the candidate ends at or below the
+    edge, and so at or below the key; the candidate is therefore the
+    pick whenever it ends above the key. Only the keys whose candidate
+    ends at or below them, a few percent, are binary-searched. Each edge
+    is nudged down by far more than the roundings in a key's bucket
+    index, so it never lies above a key in its bucket. The result is the
+    same cells as ``searchsorted(cdf, u * total, side="right")``.
+
+    The rows are returned as the transpose of a C-contiguous
+    ``(n, samples)`` matrix, the layout :func:`_categorical_log_pmfs`
+    scores column by column.
     """
     cdf = np.cumsum(pi)
+    total = cdf[-1]
+    buckets = GUIDE_BUCKETS_PER_CELL * pi.size
+    edges = np.arange(buckets) * (total / buckets) * (1.0 - 2.0**-40)
+    guide = np.searchsorted(cdf, edges, side="right")
     uniforms = generator.random((samples, n))
     uniforms.sort(axis=1)
-    return np.searchsorted(cdf, uniforms * cdf[-1], side="right")
+    keys = np.multiply(uniforms.T, total, order="C")
+    bucket = np.multiply(
+        keys, buckets / total, out=np.empty(keys.shape, dtype=np.intp), casting="unsafe"
+    )
+    # A key within a rounding of ``total`` can land one past the last
+    # bucket; "clip" puts it in the last one.
+    cells = guide.take(bucket, mode="clip")
+    miss = np.flatnonzero(cdf.take(cells) <= keys)
+    cells.reshape(-1)[miss] = np.searchsorted(cdf, keys.reshape(-1)[miss], side="right")
+    return cells.T
 
 
 def _lgamma_rows(draws: np.ndarray) -> np.ndarray:

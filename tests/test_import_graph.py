@@ -9,7 +9,11 @@ re-imports — must not load it at module level, and a served request must
 not load it lazily either (that would only move the cost into the first
 answer).
 
-The check runs in a fresh interpreter: the pytest process has long since
+Spawned workers also never load the HTTP server's modules
+(``http.server``, ``ssl``): :mod:`repro.service` serves its server names
+lazily.
+
+The checks run in a fresh interpreter: the pytest process has long since
 imported everything.
 """
 
@@ -72,3 +76,36 @@ def test_serving_path_never_imports_scipy_stats():
     assert z_stat == pytest.approx(2.7968235951204043, rel=1e-12)
     assert z_p == pytest.approx(0.00516077021553718, rel=1e-9)
     assert z_p == pytest.approx(math.erfc(z_stat / math.sqrt(2)), rel=1e-9)
+
+
+WORKER_PROBE = """
+import sys
+
+import repro.service.workers
+
+loaded = sorted(name for name in ("http.server", "ssl") if name in sys.modules)
+assert not loaded, f"a worker import loaded {loaded}"
+
+import repro.service
+from repro.service import create_server
+from repro.service.server import create_server as defined
+
+assert create_server is defined
+assert "http.server" in sys.modules
+assert all(hasattr(repro.service, name) for name in repro.service.__all__)
+print(len(repro.service.__all__))
+"""
+
+
+def test_worker_import_leaves_out_the_http_server():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", WORKER_PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout.strip()) == 23

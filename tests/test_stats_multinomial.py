@@ -219,6 +219,154 @@ class TestMonteCarloCalibration:
         assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
+def _searchsorted_cells(uniforms, pi):
+    """The sampler's oracle: one binary search per sorted uniform."""
+    cdf = np.cumsum(pi)
+    return np.searchsorted(cdf, np.sort(uniforms, axis=1) * cdf[-1], side="right")
+
+
+class _FixedUniforms:
+    """A generator stand-in whose ``random`` returns chosen uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=np.float64)
+
+    def random(self, shape):
+        return self.uniforms.reshape(shape).copy()
+
+
+def _tiny_beside_dominant(k, seed):
+    rng = np.random.default_rng(seed)
+    pi = rng.uniform(0.5, 1.5, k) * 1e-300
+    pi[rng.integers(k)] = 1.0
+    return pi / pi.sum()
+
+
+def _zero_cells_at(k, seed, where):
+    rng = np.random.default_rng(seed)
+    pi = rng.dirichlet(np.full(k, 0.7))
+    pi[where] = 0.0
+    return pi / pi.sum()
+
+
+#: ``pi`` vectors for the guide-table sampler, each drawn ``n`` at a time.
+GUIDE_CASES = {
+    "k2": (_calibration_case(2, 1, 11)[0], 1),
+    "k3_uniform": (np.full(3, 1 / 3), 2),
+    "k1000": (_calibration_case(1000, 30, 12)[0], 30),
+    "k1000_flat": (np.full(1000, 1e-3), 12),
+    "zeros_at_start": (_zero_cells_at(40, 13, slice(0, 7)), 6),
+    "zeros_in_middle": (_zero_cells_at(40, 14, [9, 10, 11, 20, 27]), 6),
+    "zeros_at_end": (_zero_cells_at(40, 15, slice(31, 40)), 6),
+    "zeros_everywhere": (_zero_cells_at(60, 16, slice(0, 60, 3)), 9),
+    "tiny_beside_dominant": (_tiny_beside_dominant(50, 17), 8),
+    "tiny_beside_dominant_first": (np.array([1.0] + [1e-300] * 20), 5),
+    "tiny_beside_dominant_last": (np.array([1e-300] * 20 + [1.0]), 5),
+    "renormalised_above": (_calibration_case(70, 5, 18, scale=1 + 1e-7)[0] / (1 + 1e-7), 5),
+    "renormalised_below": (_calibration_case(70, 5, 19, scale=1 - 1e-7)[0] / (1 - 1e-7), 5),
+    "total_above_one": (_calibration_case(33, 4, 20, scale=1 + 1e-7)[0], 4),
+    "total_below_one": (_calibration_case(33, 4, 21, scale=1 - 1e-7)[0], 4),
+}
+
+
+class TestGuideTableSampler:
+    """The guide-table sampler draws exactly the cells one binary search
+    per key would, and scores each draw as its count vector."""
+
+    @pytest.mark.parametrize("name", sorted(GUIDE_CASES))
+    def test_cells_match_the_binary_search(self, name):
+        from repro.stats.multinomial import _categorical_cells
+
+        pi, n = GUIDE_CASES[name]
+        for seed in range(8):
+            got = _categorical_cells(np.random.default_rng(seed), pi, n, 2_000)
+            uniforms = np.random.default_rng(seed).random((2_000, n))
+            assert got.shape == (2_000, n)
+            np.testing.assert_array_equal(got, _searchsorted_cells(uniforms, pi), str(seed))
+            assert (pi[got] > 0).all()
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 17, 64, 250, 1000])
+    def test_random_shapes(self, k):
+        from repro.stats.multinomial import _categorical_cells
+
+        rng = np.random.default_rng(k)
+        for seed in range(10):
+            pi = rng.dirichlet(np.full(k, rng.choice([0.05, 0.7, 5.0])))
+            pi[rng.random(k) < 0.2] = 0.0
+            if not pi.any():
+                pi[0] = 1.0
+            pi /= pi.sum()
+            n = int(rng.integers(1, 40))
+            got = _categorical_cells(np.random.default_rng(seed), pi, n, 500)
+            uniforms = np.random.default_rng(seed).random((500, n))
+            np.testing.assert_array_equal(got, _searchsorted_cells(uniforms, pi), str(seed))
+
+    @pytest.mark.parametrize("name", sorted(GUIDE_CASES))
+    def test_keys_on_bucket_edges_and_cell_ends(self, name):
+        """Uniforms on every bucket's edge, a float either side of it, on
+        every cell's end, and the extremes ``0`` and ``1 - 2**-53``."""
+        from repro.stats.multinomial import GUIDE_BUCKETS_PER_CELL, _categorical_cells
+
+        pi, _ = GUIDE_CASES[name]
+        cdf = np.cumsum(pi)
+        edges = np.arange(GUIDE_BUCKETS_PER_CELL * pi.size + 1) / (
+            GUIDE_BUCKETS_PER_CELL * pi.size)
+        ends = cdf / cdf[-1]
+        pinned = np.concatenate([
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+            ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0),
+            [0.0, 1.0 - 2.0**-53],
+        ])
+        uniforms = pinned[pinned < 1.0]
+        got = _categorical_cells(_FixedUniforms(uniforms), pi, 1, uniforms.size)
+        expected = _searchsorted_cells(uniforms[:, None], pi)
+        np.testing.assert_array_equal(got, expected)
+        assert (pi[got] > 0).all()
+        assert got.max() < pi.size
+
+    def test_key_below_its_bucket_edge(self):
+        """A key one float below bucket 33's computed edge still floors into
+        bucket 33, and cell 0 ends exactly on that edge: the key's pick is
+        cell 0, below the first cell ending above the edge."""
+        from repro.stats.multinomial import _categorical_cells
+
+        pi = np.array([0.6874996834567315, 0.15624992805834803, 0.15624992805834803])
+        uniforms = np.array([0.6874999999999999])
+        got = _categorical_cells(_FixedUniforms(uniforms), pi, 1, 1)
+        np.testing.assert_array_equal(got, _searchsorted_cells(uniforms[:, None], pi))
+        assert got[0, 0] == 0
+
+    def test_binary_search_runs_on_misses_only(self, monkeypatch):
+        from repro.stats import multinomial
+
+        searched = []
+        search = np.searchsorted
+
+        def spy(a, v, *args, **kwargs):
+            searched.append(np.size(v))
+            return search(a, v, *args, **kwargs)
+
+        pi, n = GUIDE_CASES["k1000"]
+        monkeypatch.setattr(np, "searchsorted", spy)
+        multinomial._categorical_cells(np.random.default_rng(0), pi, n, 2_000)
+        table, misses = searched
+        assert table == multinomial.GUIDE_BUCKETS_PER_CELL * pi.size
+        assert misses < 0.1 * n * 2_000
+
+    @pytest.mark.parametrize("name", sorted(GUIDE_CASES))
+    def test_log_pmfs_score_the_drawn_counts(self, name):
+        from repro.stats.multinomial import _categorical_cells, _categorical_log_pmfs
+
+        pi, n = GUIDE_CASES[name]
+        log_pi = np.log(pi, out=np.zeros_like(pi), where=pi > 0)
+        for seed in range(3):
+            cells = _categorical_cells(np.random.default_rng(seed), pi, n, 200)
+            got = _categorical_log_pmfs(np.random.default_rng(seed), pi, log_pi, n, 200)
+            expected = [log_multinomial_pmf(pi, np.bincount(row, minlength=pi.size))
+                        for row in cells]
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-12)
+
+
 class TestDispatch:
     def test_small_case_uses_exact(self):
         result = multinomial_test([0.5, 0.5], [3, 1])

@@ -713,7 +713,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         graph = load_dataset(args.dataset, scale=args.scale)
     engine = NCEngine(graph, config=config)
-    engine.pin()  # compile + publish/freeze shared state before accepting traffic
+    del graph  # a --dataset graph is frozen into the engine; drop the live copy
+    engine.pin()  # build the pinned state before accepting traffic
     NCRequestHandler.quiet = not args.verbose
     server = create_server(
         engine, host=args.host, port=args.port, registry=registry, retain=args.retain
@@ -729,7 +730,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         poller.start()
     host, port = server.server_address[:2]
-    print(f"serving {graph.summary()}")
+    print(f"serving {engine.graph.summary()}")
     print(f"executor: {args.executor} ({args.workers} workers)")
     endpoints = (
         "/v1/search, /v1/healthz, /v1/stats, /v1/metrics"

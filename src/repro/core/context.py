@@ -130,8 +130,9 @@ class RandomWalkContext(ContextSelector):
     def warm(self) -> "RandomWalkContext":
         """Prebuild the transition matrix (with ``pin=True``: freeze it).
 
-        The query service calls this while re-pinning so that concurrent
-        requests share one immutable matrix instead of racing to build it.
+        The query service calls this when it pins a snapshot that carries
+        no stored transition, so concurrent requests share one immutable
+        matrix instead of racing to build it.
         """
         self._pagerank.transition()
         return self
@@ -146,14 +147,6 @@ class RandomWalkContext(ContextSelector):
         """
         self._pagerank.adopt_transition(transition)
         return self
-
-    def frozen_transition(self):
-        """The pinned transition matrix, building it if necessary.
-
-        The export side of transition sharing: the engine publishes this
-        matrix's ``(data, indices, indptr)`` triple for workers to adopt.
-        """
-        return self._pagerank.transition()
 
     def select(self, query: Sequence[int], k: int) -> ContextResult:
         """The top-``k`` PPR-ranked context for ``query`` (Section 3.1)."""

@@ -67,7 +67,6 @@ from repro.disk.registry import (
 from repro.disk.store import (
     DiskSnapshot,
     DiskSnapshotHeader,
-    DiskSnapshotPublication,
     SnapshotFormatError,
     inspect_snapshot,
     open_snapshot,
@@ -83,7 +82,6 @@ __all__ = [
     "DeltaRun",
     "DiskSnapshot",
     "DiskSnapshotHeader",
-    "DiskSnapshotPublication",
     "IngestStats",
     "RegistryEntry",
     "RegistryError",

@@ -35,9 +35,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.disk.store import _take, save_snapshot
+from repro.disk.store import save_snapshot
 from repro.graph.compiled import CompiledGraph
 from repro.graph.labels import LabelTable, inverse_label
+from repro.parallel.shm import _take
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     import os

@@ -29,9 +29,9 @@ disk with no :class:`~repro.graph.model.KnowledgeGraph` in memory.
 
 Lifecycle: snapshot files are immutable once written (the writer goes
 through a temp file + atomic rename, so readers never observe a torn
-file). Unlike shm segments there is nothing to unlink — a
-:class:`DiskSnapshotPublication` hands the engine's segment-lifecycle
-plumbing a no-op retirement.
+file). There is nothing to unlink: the
+:class:`~repro.parallel.shm.SnapshotPublication` a served file hands the
+engine's segment-lifecycle plumbing retires as a no-op.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ from repro.parallel.shm import (
     TRANSITION_FIELDS,
     SharedNameTable,
     SnapshotGraphView,
+    SnapshotPublication,
     _aligned,
-    _encode_names,
     build_transition_csr,
-    transition_blocks,
+    snapshot_blocks,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -74,14 +74,6 @@ _PREAMBLE = struct.Struct("<8sII")
 
 class SnapshotFormatError(ReproError):
     """The file is not a valid snapshot (bad magic, version, or layout)."""
-
-
-def _take(names, count: int) -> "list[str]":
-    """First ``count`` names as a list; works for lists and lazy tables."""
-    try:
-        return list(names[:count])
-    except TypeError:  # SharedNameTable indexes ints only
-        return [names[index] for index in range(count)]
 
 
 @dataclass(frozen=True)
@@ -118,9 +110,10 @@ def save_snapshot(
 ) -> int:
     """Write one compiled snapshot (plus name tables) to ``path``.
 
-    The exact block set :func:`~repro.parallel.shm.publish_snapshot`
-    exports to shared memory, so a file round-trip is byte-identical to
-    an shm round-trip. ``node_names`` / ``label_names`` are sliced to the
+    The data region holds the :func:`~repro.parallel.shm.snapshot_blocks`
+    layout that :func:`~repro.parallel.shm.publish_snapshot` exports to
+    shared memory, so a file round-trip is byte-identical to an shm
+    round-trip. ``node_names`` / ``label_names`` are sliced to the
     snapshot's counts; ``transition`` (optional scipy CSR) persists the
     frozen PPR transition so a cold-started server adopts it instead of
     rebuilding ``weighted_adjacency``.
@@ -128,48 +121,13 @@ def save_snapshot(
     Writes via a temp file + atomic rename (readers never see a torn
     file). Returns the total bytes written.
     """
-    if len(node_names) < compiled.node_count:
-        raise ValueError(
-            f"need {compiled.node_count} node names, got {len(node_names)}"
-        )
-    if len(label_names) < compiled.label_count:
-        raise ValueError(
-            f"need {compiled.label_count} label names, got {len(label_names)}"
-        )
-    node_offsets, node_blob = _encode_names(_take(node_names, compiled.node_count))
-    label_offsets, label_blob = _encode_names(_take(label_names, compiled.label_count))
-
-    blocks: "list[tuple[str, np.ndarray]]" = list(compiled.arrays().items())
-    blocks += [
-        ("node_name_offsets", node_offsets),
-        ("node_name_blob", node_blob),
-        ("label_name_offsets", label_offsets),
-        ("label_name_blob", label_blob),
+    blocks, specs, data_bytes = snapshot_blocks(
+        compiled, node_names, label_names, transition
+    )
+    block_table = [
+        (name, {"offset": spec.offset, "length": spec.length, "dtype": spec.dtype})
+        for name, spec in specs.items()
     ]
-    if transition is not None:
-        if transition.shape != (compiled.node_count, compiled.node_count):
-            raise ValueError(
-                f"transition matrix shape {transition.shape} does not match "
-                f"the snapshot's {compiled.node_count} nodes"
-            )
-        blocks += transition_blocks(transition)
-
-    block_table: "list[tuple[str, dict]]" = []
-    offset = 0
-    for name, array in blocks:
-        offset = _aligned(offset)
-        block_table.append(
-            (
-                name,
-                {
-                    "offset": offset,
-                    "length": int(array.shape[0]),
-                    "dtype": array.dtype.name,
-                },
-            )
-        )
-        offset += array.nbytes
-    data_bytes = offset
 
     header_json = json.dumps(
         {
@@ -191,11 +149,10 @@ def save_snapshot(
         with open(tmp_path, "wb") as handle:
             handle.write(_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header_json)))
             handle.write(header_json)
-            specs = dict(block_table)
             for name, array in blocks:
                 if array.nbytes == 0:
                     continue
-                handle.seek(data_start + specs[name]["offset"])
+                handle.seek(data_start + specs[name].offset)
                 handle.write(memoryview(np.ascontiguousarray(array)))
             handle.truncate(total)
         os.replace(tmp_path, path)
@@ -230,35 +187,6 @@ def save_graph_snapshot(
         graph_name=graph.name,
         transition=transition_from_snapshot(compiled) if include_transition else None,
     )
-
-
-class DiskSnapshotPublication:
-    """The engine-facing handle of a served snapshot file.
-
-    Plays the role :class:`~repro.parallel.shm.SharedSnapshot` plays for
-    shm segments — the object the engine parks in its pinned state and
-    the worker pool refcounts — except retirement is free: the file is
-    immutable and owned by whoever compiled it, so :meth:`unlink` is a
-    deliberate no-op (serving never deletes data).
-    """
-
-    def __init__(self, header: DiskSnapshotHeader) -> None:
-        self.header = header
-
-    @property
-    def segment(self) -> str:
-        """The rendezvous key (``file://`` + path)."""
-        return self.header.segment
-
-    @property
-    def version(self) -> int:
-        """The graph version the file holds."""
-        return self.header.version
-
-    def unlink(self) -> None:
-        """No-op: snapshot files outlive the process that serves them."""
-
-    close = unlink
 
 
 class DiskSnapshot:
@@ -367,9 +295,9 @@ class DiskSnapshot:
         )
         return self._transition
 
-    def publication(self) -> DiskSnapshotPublication:
+    def publication(self) -> SnapshotPublication:
         """The handle the engine ships to process workers (path + scalars)."""
-        return DiskSnapshotPublication(self.header)
+        return SnapshotPublication(self.header)
 
     def close(self) -> None:
         """Drop every view and release the mapping.

@@ -13,7 +13,8 @@ pickling of the graph, no per-worker copy of the adjacency.
 :class:`SnapshotGraphView` wraps an attached snapshot in the reader
 surface of :class:`~repro.graph.model.KnowledgeGraph`, which is what lets
 the unchanged ``FindNC`` pipeline run inside a worker against shared
-memory. The worker pool that drives this lives in
+memory; :func:`freeze_graph` publishes a live graph and returns such a
+view over it, which is how the query engine serves a graph. The worker pool that drives this lives in
 :mod:`repro.service.workers`; the segment lifecycle contract is
 documented in ``docs/ARCHITECTURE.md``.
 """
@@ -22,7 +23,9 @@ from repro.parallel.shm import (
     SharedSnapshot,
     SharedSnapshotHeader,
     SnapshotGraphView,
+    SnapshotPublication,
     attach_snapshot,
+    freeze_graph,
     publish_snapshot,
 )
 
@@ -30,6 +33,8 @@ __all__ = [
     "SharedSnapshot",
     "SharedSnapshotHeader",
     "SnapshotGraphView",
+    "SnapshotPublication",
     "attach_snapshot",
+    "freeze_graph",
     "publish_snapshot",
 ]

@@ -12,11 +12,11 @@ with every block 8-byte aligned. The optional trailing blocks carry the
 frozen Equation-2 PPR transition matrix (:data:`TRANSITION_FIELDS`), so
 workers adopt the publisher's matrix instead of each rebuilding
 ``weighted_adjacency``; the disk snapshot store (:mod:`repro.disk`)
-persists the same block set to a file. The layout is described by a small
-picklable :class:`SharedSnapshotHeader` (segment name, scalar metadata,
-per-block offsets/shapes) — the *only* thing that crosses the process
-boundary per publication; requests then reference the header and workers
-attach at most once per graph version.
+writes the same layout (:func:`snapshot_blocks`) to a file. The layout
+is described by a small picklable :class:`SharedSnapshotHeader` (segment
+name, scalar metadata, per-block offsets/shapes) — the *only* thing that
+crosses the process boundary per publication; requests then reference
+the header and workers attach at most once per graph version.
 
 Name tables travel as UTF-8 blobs plus ``int64`` offset arrays. Node
 names are decoded lazily (:class:`SharedNameTable`) because the pipeline
@@ -24,11 +24,12 @@ only ever touches the few hundred names that appear as instance values;
 edge-label names are few and decode eagerly into a
 :class:`~repro.graph.labels.LabelTable`.
 
-Lifecycle contract (enforced by :mod:`repro.service.workers`):
+Lifecycle contract:
 
-* the **publisher** (the engine process) owns the segment: it calls
-  :meth:`SharedSnapshot.unlink` exactly once, when the version is retired
-  and no request in flight still references it;
+* the **publisher** owns the segment and unlinks it exactly once. The
+  engine publishes through :func:`freeze_graph`, whose view owns the
+  segment: closing the view (when its version drains, or when the
+  engine closes) unlinks it;
 * **attachers** only ever :meth:`AttachedSnapshot.close` — they must
   never unlink. Attaching deregisters the segment from this process's
   ``resource_tracker`` so a worker exiting does not tear the segment
@@ -94,17 +95,6 @@ TRANSITION_FIELDS: "tuple[str, ...]" = (
     "transition_indices",
     "transition_indptr",
 )
-
-
-def transition_blocks(transition) -> "list[tuple[str, np.ndarray]]":
-    """``(name, array)`` pairs of a scipy CSR matrix, in
-    :data:`TRANSITION_FIELDS` order (the export half of transition
-    sharing)."""
-    return [
-        ("transition_data", np.asarray(transition.data)),
-        ("transition_indices", np.asarray(transition.indices)),
-        ("transition_indptr", np.asarray(transition.indptr)),
-    ]
 
 
 def build_transition_csr(
@@ -254,31 +244,37 @@ class SharedSnapshot:
         self.unlink()
 
 
-def publish_snapshot(
+def _take(names, count: int) -> "list[str]":
+    """First ``count`` names as a list; works for lists and lazy tables."""
+    try:
+        return list(names[:count])
+    except TypeError:  # SharedNameTable indexes ints only
+        return [names[index] for index in range(count)]
+
+
+def snapshot_blocks(
     compiled: CompiledGraph,
     node_names: "Sequence[str]",
     label_names: "Sequence[str]",
-    *,
-    graph_name: str = "knowledge-graph",
-    segment_prefix: str = "repro-snap",
     transition=None,
-) -> SharedSnapshot:
-    """Export one compiled snapshot into a fresh shared-memory segment.
+) -> "tuple[list[tuple[str, np.ndarray]], dict[str, _BlockSpec], int]":
+    """The block layout both snapshot transports write.
+
+    Returns ``(blocks, specs, data_bytes)``: the ``(name, array)`` pairs
+    in layout order (the :data:`~repro.graph.compiled.ARRAY_FIELDS`
+    arrays, the packed name tables, then the optional
+    :data:`TRANSITION_FIELDS` triple), each block's 8-byte-aligned
+    :class:`_BlockSpec`, and the end offset of the last block.
+    :func:`publish_snapshot` lays them out in a shared-memory segment and
+    :func:`repro.disk.store.save_snapshot` in a file's data region, so the
+    two transports hold the same bytes at the same offsets.
 
     ``node_names`` / ``label_names`` are sliced to the snapshot's
-    ``node_count`` / ``label_count`` so a name table that has grown past
-    the snapshot (writers kept adding nodes) cannot leak newer state into
-    the published version.
-
-    ``transition`` (optional) is the pinned PPR transition matrix (scipy
-    CSR) for this snapshot version; its ``(data, indices, indptr)``
-    triple is packed into the segment so every worker adopts ONE frozen
-    matrix instead of rebuilding ``weighted_adjacency`` per worker per
-    version.
-
-    Returns the :class:`SharedSnapshot` handle whose
-    :attr:`~SharedSnapshot.header` workers attach with; the caller owns
-    the segment and must eventually :meth:`~SharedSnapshot.unlink` it.
+    ``node_count`` / ``label_count``, so a name table that has grown past
+    the snapshot cannot leak newer state into the published version.
+    ``transition`` (optional scipy CSR) is the snapshot's frozen PPR
+    transition matrix; consumers adopt it instead of rebuilding
+    ``weighted_adjacency``.
     """
     if len(node_names) < compiled.node_count:
         raise ValueError(
@@ -288,12 +284,10 @@ def publish_snapshot(
         raise ValueError(
             f"need {compiled.label_count} label names, got {len(label_names)}"
         )
-    node_offsets, node_blob = _encode_names(node_names[: compiled.node_count])
-    label_offsets, label_blob = _encode_names(label_names[: compiled.label_count])
+    node_offsets, node_blob = _encode_names(_take(node_names, compiled.node_count))
+    label_offsets, label_blob = _encode_names(_take(label_names, compiled.label_count))
 
-    blocks: list[tuple[str, np.ndarray]] = [
-        (name, array) for name, array in compiled.arrays().items()
-    ]
+    blocks: list[tuple[str, np.ndarray]] = list(compiled.arrays().items())
     blocks += [
         ("node_name_offsets", node_offsets),
         ("node_name_blob", node_blob),
@@ -306,7 +300,11 @@ def publish_snapshot(
                 f"transition matrix shape {transition.shape} does not match "
                 f"the snapshot's {compiled.node_count} nodes"
             )
-        blocks += transition_blocks(transition)
+        blocks += [
+            ("transition_data", np.asarray(transition.data)),
+            ("transition_indices", np.asarray(transition.indices)),
+            ("transition_indptr", np.asarray(transition.indptr)),
+        ]
     specs: dict[str, _BlockSpec] = {}
     offset = 0
     for name, array in blocks:
@@ -315,7 +313,34 @@ def publish_snapshot(
             offset=offset, length=int(array.shape[0]), dtype=array.dtype.name
         )
         offset += array.nbytes
-    total = max(offset, 1)  # zero-size segments are not allowed
+    return blocks, specs, offset
+
+
+def publish_snapshot(
+    compiled: CompiledGraph,
+    node_names: "Sequence[str]",
+    label_names: "Sequence[str]",
+    *,
+    graph_name: str = "knowledge-graph",
+    segment_prefix: str = "repro-snap",
+    transition=None,
+) -> SharedSnapshot:
+    """Export one compiled snapshot into a fresh shared-memory segment.
+
+    The segment holds the :func:`snapshot_blocks` layout: names sliced to
+    the snapshot's counts and, when ``transition`` (the pinned PPR
+    transition matrix, scipy CSR) is given, its ``(data, indices,
+    indptr)`` triple, so every worker adopts ONE frozen matrix instead of
+    rebuilding ``weighted_adjacency`` per worker per version.
+
+    Returns the :class:`SharedSnapshot` handle whose
+    :attr:`~SharedSnapshot.header` workers attach with; the caller owns
+    the segment and must eventually :meth:`~SharedSnapshot.unlink` it.
+    """
+    blocks, specs, data_bytes = snapshot_blocks(
+        compiled, node_names, label_names, transition
+    )
+    total = max(data_bytes, 1)  # zero-size segments are not allowed
 
     segment = f"{segment_prefix}-v{compiled.version}-{secrets.token_hex(4)}"
     # Creation takes the same lock as the attach-side register patch
@@ -364,7 +389,13 @@ def publish_snapshot(
 def publish_graph(
     graph: "KnowledgeGraph", *, segment_prefix: str = "repro-snap"
 ) -> SharedSnapshot:
-    """Publish ``graph``'s current compiled snapshot (convenience wrapper)."""
+    """Publish ``graph``'s current compiled snapshot (convenience wrapper).
+
+    The Equation-2 transition matrix is built from the snapshot here and
+    packed into the segment, so attachers adopt it instead of rebuilding.
+    """
+    from repro.graph.matrix import transition_from_snapshot
+
     compiled = graph.compiled()
     return publish_snapshot(
         compiled,
@@ -375,7 +406,21 @@ def publish_graph(
         ],
         graph_name=graph.name,
         segment_prefix=segment_prefix,
+        transition=transition_from_snapshot(compiled),
     )
+
+
+def freeze_graph(graph: "KnowledgeGraph") -> "SnapshotGraphView":
+    """A frozen, shm-backed view of ``graph``'s current version.
+
+    Publishes the compiled snapshot with its transition matrix
+    (:func:`publish_graph`) and wraps this process's own mapping of the
+    segment in a :class:`SnapshotGraphView`. The view owns the segment:
+    closing it unlinks the segment. Later mutations of ``graph`` do not
+    reach the view, whose version stays the one frozen here.
+    """
+    shared = publish_graph(graph)
+    return SnapshotGraphView(AttachedSnapshot(shared.header, owner=shared))
 
 
 _attach_lock = threading.Lock()
@@ -415,12 +460,55 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
         ) from error
 
 
-class AttachedSnapshot:
-    """A worker-side, read-only reconstruction of a published snapshot."""
+class SnapshotPublication:
+    """The engine-facing handle of a served snapshot.
 
-    def __init__(self, header: SharedSnapshotHeader) -> None:
+    What the engine parks in its pinned state and the worker pool
+    refcounts: the picklable ``header`` workers attach with (an shm
+    :class:`SharedSnapshotHeader` or a disk
+    :class:`~repro.disk.DiskSnapshotHeader`) plus its rendezvous key.
+    Retirement is free: :meth:`unlink` is a deliberate no-op, because the
+    snapshot belongs to whoever opened it — a disk file outlives every
+    server, and a frozen shm view unlinks its segment when it is closed.
+    """
+
+    def __init__(self, header) -> None:
         self.header = header
-        self._shm: shared_memory.SharedMemory | None = _attach_segment(header.segment)
+
+    @property
+    def segment(self) -> str:
+        """The rendezvous key (segment name or ``file://`` + path)."""
+        return self.header.segment
+
+    @property
+    def version(self) -> int:
+        """The graph version the snapshot holds."""
+        return self.header.version
+
+    def unlink(self) -> None:
+        """No-op: the snapshot's owner releases it, not its servers."""
+
+    close = unlink
+
+
+class AttachedSnapshot:
+    """A read-only reconstruction of a published snapshot.
+
+    Workers attach a segment someone else published (``owner`` is
+    ``None``; :meth:`close` releases only this process's mapping).
+    :func:`freeze_graph` passes the publisher's own handle as ``owner``:
+    the attachment then reads through the publisher's mapping and
+    :meth:`close` unlinks the segment too.
+    """
+
+    def __init__(
+        self, header: SharedSnapshotHeader, *, owner: "SharedSnapshot | None" = None
+    ) -> None:
+        self.header = header
+        self._owner = owner
+        self._shm: shared_memory.SharedMemory | None = (
+            owner._shm if owner is not None else _attach_segment(header.segment)
+        )
         arrays = {
             name: self._view(spec) for name, spec in header.arrays
         }
@@ -452,7 +540,7 @@ class AttachedSnapshot:
         Rebuilt (and memoized) as a scipy CSR over zero-copy views of the
         segment's :data:`TRANSITION_FIELDS` blocks. ``None`` when the
         publisher did not share one (workers then rebuild it from the
-        snapshot arrays, the pre-PR-4 behaviour).
+        snapshot arrays).
         """
         if self._transition is not None:
             return self._transition
@@ -475,12 +563,16 @@ class AttachedSnapshot:
         view.setflags(write=False)
         return view
 
-    def close(self) -> None:
-        """Release this process's mapping (never unlinks the segment).
+    def publication(self) -> SnapshotPublication:
+        """The handle the engine ships to process workers (the header)."""
+        return SnapshotPublication(self.header)
 
-        Drops every numpy view first — a ``memoryview`` with live
-        exports cannot be released — so callers must not use
-        :attr:`compiled` or :attr:`node_names` afterwards.
+    def close(self) -> None:
+        """Release this process's mapping; an owned segment is unlinked.
+
+        Drops every numpy view first, so callers must not use
+        :attr:`compiled` or :attr:`node_names` afterwards: the mapping
+        they view is gone.
         """
         if self._shm is None:
             return
@@ -489,7 +581,10 @@ class AttachedSnapshot:
         self.node_names.release()
         self.node_names = None  # type: ignore[assignment]
         shm, self._shm = self._shm, None
-        shm.close()
+        if self._owner is not None:
+            self._owner.unlink()  # unlinks the name, closes the one mapping
+        else:
+            shm.close()
 
     def __enter__(self) -> "AttachedSnapshot":
         return self
@@ -528,8 +623,8 @@ class SnapshotGraphView:
     """
 
     #: Marker consumed by :class:`~repro.service.engine.NCEngine`: a
-    #: frozen view's ``version`` never advances, so the engine pins once
-    #: and serves with no live :class:`KnowledgeGraph` in the process.
+    #: frozen view's ``version`` never advances, so the engine serves it
+    #: as is; any other graph is frozen first (:func:`freeze_graph`).
     frozen = True
 
     def __init__(self, attached) -> None:

@@ -1,19 +1,23 @@
-"""`NCEngine` — a thread-safe FindNC query engine over one live graph.
+"""`NCEngine` — a thread-safe FindNC query engine over frozen graph versions.
 
 The engine turns the library pipeline into a servable primitive:
 
-* **Snapshot pinning.** Every request pins the graph's compiled columnar
-  snapshot (:meth:`KnowledgeGraph.compiled`) together with a frozen
-  PageRank selector (transition matrix built once per graph version) and
-  a shared entity index. Requests then run lock-free against immutable
-  state while writers keep mutating the graph; when
-  :attr:`KnowledgeGraph.version` advances, the next request transparently
-  re-pins.
+* **One frozen substrate.** The engine serves a frozen snapshot view:
+  ``repro.disk.open_snapshot_view`` over an mmapped snapshot file, a
+  :class:`~repro.disk.registry.SnapshotRegistry` view, or — when handed a
+  :class:`KnowledgeGraph` — a shared-memory copy of the graph's current
+  version that the engine freezes once, at construction
+  (:func:`~repro.parallel.shm.freeze_graph`), and unlinks when it closes.
+  Later mutations of that graph never reach the engine.
+* **Snapshot pinning.** Every request pins the served version's compiled
+  snapshot together with a frozen PageRank selector (the stored
+  transition matrix, adopted) and a shared entity index. Requests then
+  run lock-free against immutable state.
 * **Version-keyed result cache.** Results are cached under
-  ``(graph.version, frozenset(query_ids), context_size, alpha,
+  ``(version, frozenset(query_ids), context_size, alpha,
   discriminator_params)`` in a :class:`~repro.service.cache.ResultCache`
-  LRU — a mutation makes old entries unreachable instantly, and re-pinning
-  purges them.
+  LRU — a hot swap makes old entries unreachable instantly and purges
+  them.
 * **Request executor with single-flight coalescing.** Queries run on a
   bounded :class:`~concurrent.futures.ThreadPoolExecutor`; concurrent
   identical requests share one in-flight computation instead of
@@ -23,28 +27,22 @@ The engine turns the library pipeline into a servable primitive:
   traffic is served at memory speed, but *distinct* queries scale at
   ~1x per core because the pipeline's Python-level work holds the GIL.
   With ``executor="process"`` the thread pool only *dispatches*: the
-  pinned snapshot is published once per graph version into shared
-  memory (:mod:`repro.parallel.shm`) — together with the frozen PPR
-  transition's CSR triple, which workers adopt instead of rebuilding —
-  and the computations execute on a
-  :class:`~repro.service.workers.ProcessWorkerPool`, so distinct-query
-  throughput scales with cores. The cache, coalescing, name resolution
-  and the HTTP server stay in the parent either way.
-* **Graph-free serving.** The engine also accepts a *frozen* snapshot
-  view (``repro.disk.open_snapshot_view`` over an mmapped snapshot
-  file): same API, one pin for the process lifetime, and in process
-  mode workers mmap the same file instead of receiving a fresh shm
-  publication — no :class:`KnowledgeGraph` exists anywhere in the
-  serving topology.
-* **Multi-version hot swap.** A snapshot-backed engine re-pins onto a
-  newly published file *while serving*: :meth:`NCEngine.swap_snapshot`
-  atomically adopts the new version (new requests pin it immediately,
-  the version-keyed cache invalidates by unreachability) and drains the
+  computations execute on a
+  :class:`~repro.service.workers.ProcessWorkerPool` whose workers attach
+  the pinned view's own transport — the shm segment, or the snapshot
+  file by path — and adopt its frozen PPR transition CSR instead of
+  rebuilding it, so distinct-query throughput scales with cores. The
+  cache, coalescing, name resolution and the HTTP server stay in the
+  parent either way.
+* **Multi-version hot swap.** The engine re-pins onto a newly published
+  snapshot *while serving*: :meth:`NCEngine.swap_snapshot` atomically
+  adopts the new version (new requests pin it immediately, the
+  version-keyed cache invalidates by unreachability) and drains the
   old one — every request holds a per-pin in-flight reference, and the
-  superseded pin is retired (worker-pool segment handed to the
-  refcount/retire machinery, old mapping closed) exactly when its last
-  request completes. ``repro serve --snapshot-dir`` plus
-  ``POST /admin/reload`` drive this from a
+  superseded pin is retired (its publication handed to the worker
+  pool's refcount/retire machinery, the old view closed) exactly when
+  its last request completes. ``repro serve --snapshot-dir`` plus
+  ``POST /v1/admin/reload`` drive this from a
   :class:`~repro.disk.registry.SnapshotRegistry`.
 
 Determinism: each computation derives its RNG seed from the cache key, so
@@ -76,7 +74,7 @@ from repro.errors import DeadlineExceededError, EngineSaturatedError, QueryError
 from repro.graph.compiled import CompiledGraph
 from repro.graph.model import KnowledgeGraph, NodeRef
 from repro.graph.search import EntityIndex, resolve_node_refs
-from repro.parallel.shm import SharedSnapshot, StaleSnapshotError, publish_snapshot
+from repro.parallel.shm import SnapshotPublication, StaleSnapshotError, freeze_graph
 from repro.service import faults
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.metrics import ServiceMetrics
@@ -455,22 +453,21 @@ class _PinLifecycle:
 class _PinnedState:
     """Everything one graph version's requests share, all immutable in use.
 
-    ``view`` is the graph (or frozen snapshot view) the pin was built
-    from: names resolve and labels read against it, never against the
-    engine's current graph, so a request in flight across a hot swap
-    answers wholly from its own version. In process-executor mode the
-    state additionally carries the published shared-memory segment
-    (``shared``) workers attach the snapshot from;
-    its lifecycle follows the pin's (retired when the pin is replaced,
-    unlinked once its last in-flight request completes). ``lifecycle``
-    is the pin's mutable drain bookkeeping (see :class:`_PinLifecycle`).
+    ``view`` is the frozen snapshot view the pin was built from: names
+    resolve and labels read against it, never against the engine's
+    current graph, so a request in flight across a hot swap answers
+    wholly from its own version. ``shared`` is the view's publication,
+    whose header process workers attach the snapshot from; the pool
+    refcounts it per segment and retires it when the pin is replaced.
+    ``lifecycle`` is the pin's mutable drain bookkeeping (see
+    :class:`_PinLifecycle`).
     """
 
     view: KnowledgeGraph
     snapshot: CompiledGraph
     selector: RandomWalkContext
     entity_index: EntityIndex
-    shared: "SharedSnapshot | None" = None
+    shared: SnapshotPublication
     lifecycle: _PinLifecycle = field(default_factory=_PinLifecycle)
 
 
@@ -502,7 +499,6 @@ class EngineStats:
     cache_hits: int
     coalesced: int
     computed: int
-    repins: int
     pinned_version: int | None
     inflight: int
     max_workers: int
@@ -533,7 +529,6 @@ class EngineStats:
             "cache_hits": self.cache_hits,
             "coalesced": self.coalesced,
             "computed": self.computed,
-            "repins": self.repins,
             "swaps": self.swaps,
             "pinned_version": self.pinned_version,
             "drained_versions": list(self.drained_versions),
@@ -555,7 +550,7 @@ class EngineStats:
 
 
 class NCEngine:
-    """Serve concurrent FindNC requests over one :class:`KnowledgeGraph`.
+    """Serve concurrent FindNC requests over one frozen graph version.
 
     >>> # engine = NCEngine(graph, config=EngineConfig(executor="process"))
     >>> # result = engine.search(["Angela_Merkel", "Barack_Obama"])
@@ -566,6 +561,13 @@ class NCEngine:
     the settings. Every engine also owns a
     :class:`~repro.service.metrics.ServiceMetrics` bundle
     (``engine.metrics``) the HTTP server renders at ``GET /v1/metrics``.
+
+    ``graph`` is a frozen snapshot view (``repro.disk.open_snapshot_view``,
+    ``SnapshotRegistry.open_view``) or a :class:`KnowledgeGraph`, which
+    the engine freezes once, here, into a shared-memory view it owns
+    (:func:`~repro.parallel.shm.freeze_graph`) and closes with the
+    engine. Later mutations of that graph do not reach the engine; serve
+    a newer version with :meth:`swap_snapshot`.
 
     ``search``/``submit``/``request`` are safe to call from many threads.
     Do not call them from inside the engine's own executor (a worker
@@ -585,19 +587,18 @@ class NCEngine:
                 f"config must be an EngineConfig, got {type(config).__name__}"
             )
         self.config = config
+        #: The view this engine froze from a live graph (closed with the
+        #: engine), or ``None`` when it was handed a frozen view.
+        self._owned_view = None
+        if not getattr(graph, "frozen", False):
+            graph = self._owned_view = freeze_graph(graph)
         self._graph = graph
-        #: A frozen graph (``SnapshotGraphView`` over an mmapped snapshot
-        #: file or an attached shm segment) never mutates: the engine pins
-        #: exactly once, skips the writer-race retry loop, and — for a
-        #: disk-backed view in process mode — ships workers the snapshot
-        #: *path* instead of publishing a redundant shm copy.
-        self._frozen = bool(getattr(graph, "frozen", False))
         self._discriminator_fingerprint = tuple(
             sorted((config.discriminator_params or {}).items())
         )
         self._started_monotonic = time.monotonic()
         self.snapshot_source = config.snapshot_source or (
-            "snapshot" if self._frozen else "live-graph"
+            "live-graph" if self._owned_view is not None else "snapshot"
         )
         self.metrics = ServiceMetrics(exemplars=config.metrics_exemplars)
         #: Per-request span recording + the /v1/debug/traces ring buffer.
@@ -645,7 +646,6 @@ class NCEngine:
         self._hits = 0
         self._coalesced = 0
         self._computed = 0
-        self._repins = 0
         self._timeouts = 0
         self._backend_retries = 0
         self._shed = 0
@@ -691,7 +691,7 @@ class NCEngine:
 
     @property
     def graph(self) -> KnowledgeGraph:
-        """The live graph this engine serves (writers may keep mutating it)."""
+        """The frozen view new requests pin (the latest swapped-in one)."""
         return self._graph
 
     @property
@@ -702,18 +702,17 @@ class NCEngine:
     def close(self) -> None:
         """Shut the executor down (in-flight requests finish first).
 
-        In process mode this also stops the worker pool and unlinks every
-        shared-memory segment the engine still owns (the pinned version's
-        and any parked retired ones).
+        In process mode this also stops the worker pool. A view the
+        engine froze from a live graph is closed, which unlinks its
+        shared-memory segment, whether or not it was ever pinned.
         """
         self._closed = True
         self._executor.shutdown(wait=True)
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        pinned = self._pinned
-        if pinned is not None and pinned.shared is not None:
-            pinned.shared.unlink()
+        if self._owned_view is not None:
+            self._owned_view.close()
 
     def __enter__(self) -> "NCEngine":
         return self
@@ -724,35 +723,33 @@ class NCEngine:
     # -- pinning -----------------------------------------------------------
 
     def pin(self) -> _PinnedState:
-        """The shared per-version state, re-pinned if the graph moved.
+        """The shared state of the served version, built on first use.
 
-        Fast path is lock-free (one attribute read + version compare);
-        re-pinning — compiling the snapshot, freezing the PageRank
-        transition matrix, rebuilding the entity index, purging
-        stale cache entries — is serialized behind a lock.
+        Fast path is lock-free (one attribute read); the first call
+        builds the pin under a lock. :meth:`swap_snapshot` replaces it.
         """
         state = self._pinned
-        if state is not None and state.snapshot.version == self._graph.version:
+        if state is not None:
             return state
         with self._pin_lock:
-            state = self._pinned
-            if state is None or state.snapshot.version != self._graph.version:
-                previous = state
-                state = self._build_pin()
-                self._pinned = state
-                self._repins += 1
-                self.metrics.repins.inc()
-                self._cache.purge_versions(state.snapshot.version)
-                if previous is not None and previous.shared is not None:
-                    # Superseded segment: unlink now if idle, else when
-                    # its last in-flight worker job completes. No pool
-                    # yet means no job ever referenced it — unlink
-                    # directly instead of spawning workers to say so.
-                    if self._pool is not None:
-                        self._pool.retire(previous.shared)
-                    else:
-                        previous.shared.unlink()
-        return state
+            if self._pinned is None:
+                self._pinned = self._build_pin(self._graph)
+            return self._pinned
+
+    def _acquire_pin(self) -> _PinnedState:
+        """The current pin, with one in-flight reference taken on it.
+
+        Acquire-then-validate: a swap landing between :meth:`pin` and
+        ``acquire()`` could have already drained (and closed) the pin
+        with zero holders, so a reference on a retired pin is given back
+        and the new pin taken instead. The caller releases the reference.
+        """
+        while True:
+            state = self.pin()
+            state.lifecycle.acquire()
+            if state is self._pinned or not state.lifecycle.retired:
+                return state
+            state.lifecycle.release()
 
     def _worker_pool(self) -> ProcessWorkerPool:
         """The process pool, created on the first request dispatched to it.
@@ -780,137 +777,35 @@ class NCEngine:
                     )
         return self._pool
 
-    def _build_pin(self) -> _PinnedState:
-        """Build a selector/snapshot/index triple at ONE graph version.
+    def _build_pin(self, graph: KnowledgeGraph) -> _PinnedState:
+        """The pin over one frozen view (no writers, ever).
 
-        A writer racing the build can tear the triple (selector frozen at
-        a different version than the snapshot) or break a live-adjacency
-        scan mid-iteration; retry a few times for a consistent pin. If
-        writers are too hot to ever win the race, keep the last attempt —
-        the selector is built *before* the snapshot, so the (newer)
-        snapshot covers every node the selector can return, and the
-        per-request ``covers`` checks remain the backstop.
-
-        Frozen graphs (snapshot views) cannot race: their single pin is
-        built directly, with the stored transition matrix adopted instead
-        of rebuilt when the snapshot carries one.
+        The snapshot is already compiled (the view *is* the shm segment
+        or mmapped file), and when it carries the frozen PPR transition
+        CSR the selector adopts it, so pinning costs an entity-index
+        build and little else. Process workers attach the view's own
+        publication: the segment, or the file by path.
+        :meth:`swap_snapshot` builds the replacement pin with this before
+        the engine atomically adopts it.
         """
-        if self._frozen:
-            return self._build_frozen_pin()
-        last_error: RuntimeError | None = None
-        state: _PinnedState | None = None
-        for _ in range(4):
-            if state is not None and state.shared is not None:
-                # The previous iteration's state is being discarded (its
-                # snapshot raced a writer) — unlink its published segment
-                # or every contended pin would leak a whole-graph copy.
-                state.shared.unlink()
-            version = self._graph.version
-            try:
-                selector = RandomWalkContext(
-                    self._graph,
-                    damping=self.config.damping,
-                    iterations=self.config.iterations,
-                    pin=True,
-                )
-                # Freeze the transition matrix in the parent — thread mode
-                # serves PPR from it directly; process mode shares its CSR
-                # triple through the segment so workers adopt ONE matrix
-                # instead of each rebuilding weighted_adjacency.
-                selector.warm()
-                snapshot = self._graph.compiled()
-            except RuntimeError as error:
-                # e.g. "dictionary changed size during iteration" from a
-                # writer mutating the adjacency mid-compile
-                last_error = error
-                continue
-            state = _PinnedState(
-                view=self._graph,
-                snapshot=snapshot,
-                selector=selector,
-                entity_index=EntityIndex(self._graph),
-                shared=self._publish(snapshot, selector),
-            )
-            if snapshot.version == version:
-                return state
-        if state is None:
-            raise RuntimeError(
-                "could not pin a graph snapshot: writers kept mutating the "
-                "graph during compilation"
-            ) from last_error
-        return state
-
-    def _build_frozen_pin(self, graph: "KnowledgeGraph | None" = None) -> _PinnedState:
-        """The one-shot pin over a frozen snapshot view (no writers, ever).
-
-        The cold-start fast path of ``repro serve --snapshot``: the
-        snapshot is already compiled (it *is* the mmapped file), and when
-        the file/segment carries the frozen PPR transition CSR the
-        selector adopts it — so pinning costs an entity-index build and
-        nothing else. In process mode a disk-backed view is republished
-        as its own *path* (workers mmap the same file); only a view with
-        no path-publication falls back to an shm export.
-
-        ``graph`` defaults to the engine's current view;
-        :meth:`swap_snapshot` passes the incoming view so the replacement
-        pin is fully built before the engine atomically adopts it.
-        """
-        if graph is None:
-            graph = self._graph
-        snapshot = graph.compiled()
         selector = RandomWalkContext(
             graph,
             damping=self.config.damping,
             iterations=self.config.iterations,
             pin=True,
         )
-        attached = getattr(graph, "_attached", None)
-        stored = attached.transition() if attached is not None else None
+        attached = graph._attached  # noqa: SLF001 - the view's transport
+        stored = attached.transition()
         if stored is not None:
             selector.warm_from(stored)
         elif self.config.executor == "thread":
             selector.warm()
-        shared: "SharedSnapshot | None" = None
-        if self.config.executor == "process":
-            if attached is not None and hasattr(attached, "publication"):
-                shared = attached.publication()
-            else:  # pragma: no cover - shm-backed view served directly
-                shared = self._publish(snapshot, selector)
         return _PinnedState(
             view=graph,
-            snapshot=snapshot,
+            snapshot=graph.compiled(),
             selector=selector,
             entity_index=EntityIndex(graph),
-            shared=shared,
-        )
-
-    def _publish(
-        self, snapshot: CompiledGraph, selector: RandomWalkContext
-    ) -> "SharedSnapshot | None":
-        """Export ``snapshot`` to shared memory (process mode only).
-
-        Name tables are sliced to the snapshot's node/label counts inside
-        :func:`publish_snapshot`, so a racing writer growing the graph
-        cannot leak post-snapshot names into the published segment. The
-        selector's frozen transition CSR rides along when its shape still
-        matches the snapshot (a torn retry-exhausted pin publishes
-        without it and workers rebuild, the pre-PR-4 behaviour).
-        """
-        if self.config.executor != "process":
-            return None
-        transition = selector.frozen_transition()
-        if transition.shape[0] != snapshot.node_count:
-            transition = None
-        node_names = self._graph._node_names_list()  # noqa: SLF001 - fast path
-        if not isinstance(node_names, list):  # lazy table: no slice support
-            node_names = [node_names[i] for i in range(snapshot.node_count)]
-        table = self._graph._label_table()  # noqa: SLF001 - label ids only grow
-        return publish_snapshot(
-            snapshot,
-            node_names,
-            [table.name(label_id) for label_id in range(snapshot.label_count)],
-            graph_name=self._graph.name,
-            transition=transition,
+            shared=attached.publication(),
         )
 
     # -- hot swap ----------------------------------------------------------
@@ -931,8 +826,8 @@ class NCEngine:
         off to the side, then swaps ``graph``/pin under the pin lock:
 
         * new requests pin the new version immediately (the version-keyed
-          result cache invalidates by unreachability, exactly as for
-          live-graph mutations, and stale entries are purged eagerly);
+          result cache invalidates by unreachability, and stale entries
+          are purged eagerly);
         * in-flight requests finish on the old pin — each request holds
           an in-flight reference for its whole lifetime, and the old pin
           is only *retired* (process-mode publication handed to the
@@ -945,9 +840,7 @@ class NCEngine:
         (``swapped=False``) — the ``POST /admin/reload`` handler leans on
         this. Swapping *backwards* raises ``ValueError``: version ids key
         the result cache, so re-serving an older id could resurface stale
-        entries. Only snapshot-backed (frozen) engines can swap; an
-        engine over a live :class:`KnowledgeGraph` re-pins through graph
-        mutations instead.
+        entries.
 
         The engine takes ownership of an accepted view: it is closed when
         its version drains (``close_drained=True``, the default). On
@@ -957,11 +850,6 @@ class NCEngine:
         """
         if self._closed:
             raise RuntimeError("engine is closed")
-        if not self._frozen:
-            raise ValueError(
-                "swap_snapshot requires a snapshot-backed engine (a frozen "
-                "view); live-graph engines re-pin on mutation instead"
-            )
         opened_here = False
         if isinstance(graph, (str, os.PathLike)):
             from repro.disk import open_snapshot_view
@@ -995,15 +883,13 @@ class NCEngine:
                     f"{new_version}: snapshot versions must be monotonic "
                     f"(they key the result cache)"
                 )
-            state = self._build_frozen_pin(graph)
+            state = self._build_pin(graph)
             with self._pin_lock:
                 previous = self._pinned
                 old_graph = self._graph
                 self._graph = graph
                 self._pinned = state
-                self._repins += 1
                 self._swaps += 1
-            self.metrics.repins.inc()
             self.metrics.swaps.inc()
             self._cache.purge_versions(new_version)
             if previous is not None:
@@ -1017,19 +903,15 @@ class NCEngine:
     def _retire_pin(self, previous: _PinnedState, old_graph) -> None:
         """Hand a superseded pin to the drain machinery.
 
-        The process-mode publication goes to the worker pool's
-        per-segment refcount (workers mmap'd on the old file finish their
-        jobs; the segment/file handle is unlinked at last completion — a
-        no-op for immutable disk files). The parent-side pin drains on
-        the engine's own in-flight refcount; at the last release the old
-        view's mapping is closed (when the engine owns it) and the
-        version is recorded as drained.
+        The publication goes to the worker pool's per-segment refcount
+        (workers attached to the old version finish their jobs). The
+        parent-side pin drains on the engine's own in-flight refcount; at
+        the last release the old view is closed (when the engine owns
+        it), which unlinks a segment the engine froze, and the version is
+        recorded as drained.
         """
-        if previous.shared is not None:
-            if self._pool is not None:
-                self._pool.retire(previous.shared)
-            else:
-                previous.shared.unlink()
+        if self._pool is not None:
+            self._pool.retire(previous.shared)
         version = previous.snapshot.version
         with self._flight_lock:
             self._draining[version] = previous
@@ -1155,11 +1037,12 @@ class NCEngine:
         return identical results — which is also what makes the failure
         handling here safe:
 
-        * a **stale segment** (retired between dispatch and the
-          worker's attach — a writer or hot swap raced the request) is
-          re-pinned and re-dispatched immediately, the one situation
-          where a request keyed at version ``v`` is answered from
-          ``v+1``; its cache entry is already unreachable to new
+        * a **stale segment** (gone between dispatch and the worker's
+          attach — a hot swap raced the request) is re-dispatched
+          immediately on the current pin, which the re-dispatch holds an
+          in-flight reference on until it returns. It is the one
+          situation where a request keyed at version ``v`` is answered
+          from ``v+1``; its cache entry is already unreachable to new
           requests;
         * a **worker crash** is retried on a healthy worker with
           exponential backoff + jitter, feeding the circuit breaker;
@@ -1174,99 +1057,106 @@ class NCEngine:
         attempts = self.config.retries + 1
         backoff = self.config.retry_backoff
         last_crash: "WorkerCrashError | None" = None
-        for attempt in range(attempts):
-            shared = state.shared
-            if shared is None:  # pragma: no cover - process pins always publish
-                raise RuntimeError("process executor is missing its shared segment")
-            if not self._breaker.allow():
-                break  # degraded mode: skip the pool entirely
-            try:
-                result = pool.run(
-                    header=shared.header,
-                    query_ids=query_ids,
-                    context_size=k,
-                    alpha=alpha,
-                    rng_seed=self._rng_seed(key),
-                    config=self._worker_config,
-                    deadline=deadline,
-                    trace=trace,
-                    trace_span=trace_span,
-                )
-                self._breaker.record_success()
-                return result
-            except StaleSnapshotError:
-                # Not a backend fault: no breaker, no backoff — just
-                # re-pin onto the current version and go again.
-                if attempt + 1 >= attempts:
-                    raise
-                with self._flight_lock:
-                    self._backend_retries += 1
-                self.metrics.backend_retries.inc()
-                state = self.pin()
-            except WorkerCrashError as error:
-                self._breaker.record_failure(repr(error))
-                log_event(
-                    "worker_crash",
-                    trace_id=trace.trace_id if trace is not None else None,
-                    attempt=attempt + 1,
-                    breaker_state=self._breaker.state,
-                    error=repr(error),
-                )
-                if trace is not None:
-                    trace.start_span(
-                        "engine.crash_retry",
-                        parent=trace_span,
-                        attempt=attempt + 1,
-                    ).end()
-                last_crash = error
-                if attempt + 1 >= attempts:
-                    break
-                with self._retry_rng_lock:
-                    jitter = self._retry_rng.uniform(0.5, 1.5)
-                sleep_s = backoff * jitter
-                backoff *= 2
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= sleep_s:
-                        # No budget left for another dispatch — surface
-                        # the timeout rather than a doomed retry.
-                        raise DeadlineExceededError(
-                            "request deadline expired during crash-retry "
-                            "backoff"
-                        ) from error
-                if sleep_s > 0:
-                    time.sleep(sleep_s)
-                with self._flight_lock:
-                    self._backend_retries += 1
-                self.metrics.backend_retries.inc()
-        # Retry budget exhausted or breaker open: degraded local fallback.
-        # Compute is pure, so the answer is byte-identical to a healthy
-        # worker's; only latency/throughput degrade.
-        with self._flight_lock:
-            self._fallbacks += 1
-        self.metrics.fallbacks.inc()
-        log_event(
-            "breaker_fallback",
-            trace_id=trace.trace_id if trace is not None else None,
-            breaker_state=self._breaker.state,
-        )
-        if deadline is not None and time.monotonic() >= deadline:
-            raise DeadlineExceededError(
-                "request deadline expired before the degraded fallback "
-                "could run"
-            ) from last_crash
-        fallback_span = (
-            trace.start_span(
-                "engine.fallback", parent=trace_span, backend="thread-fallback"
-            )
-            if trace is not None
-            else None
-        )
+        # The pin a stale re-dispatch runs on, held until this returns;
+        # the request's own pin is released by _compute.
+        redispatch_pin: "_PinnedState | None" = None
         try:
-            return self._compute_local(key, query_ids, k, alpha, state)
+            for attempt in range(attempts):
+                if not self._breaker.allow():
+                    break  # degraded mode: skip the pool entirely
+                try:
+                    result = pool.run(
+                        header=state.shared.header,
+                        query_ids=query_ids,
+                        context_size=k,
+                        alpha=alpha,
+                        rng_seed=self._rng_seed(key),
+                        config=self._worker_config,
+                        deadline=deadline,
+                        trace=trace,
+                        trace_span=trace_span,
+                    )
+                    self._breaker.record_success()
+                    return result
+                except StaleSnapshotError:
+                    # Not a backend fault: no breaker, no backoff — just
+                    # take the current pin and go again.
+                    if attempt + 1 >= attempts:
+                        raise
+                    with self._flight_lock:
+                        self._backend_retries += 1
+                    self.metrics.backend_retries.inc()
+                    state = self._acquire_pin()
+                    if redispatch_pin is not None:
+                        redispatch_pin.lifecycle.release()
+                    redispatch_pin = state
+                except WorkerCrashError as error:
+                    self._breaker.record_failure(repr(error))
+                    log_event(
+                        "worker_crash",
+                        trace_id=trace.trace_id if trace is not None else None,
+                        attempt=attempt + 1,
+                        breaker_state=self._breaker.state,
+                        error=repr(error),
+                    )
+                    if trace is not None:
+                        trace.start_span(
+                            "engine.crash_retry",
+                            parent=trace_span,
+                            attempt=attempt + 1,
+                        ).end()
+                    last_crash = error
+                    if attempt + 1 >= attempts:
+                        break
+                    with self._retry_rng_lock:
+                        jitter = self._retry_rng.uniform(0.5, 1.5)
+                    sleep_s = backoff * jitter
+                    backoff *= 2
+                    if deadline is not None:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= sleep_s:
+                            # No budget left for another dispatch — surface
+                            # the timeout rather than a doomed retry.
+                            raise DeadlineExceededError(
+                                "request deadline expired during crash-retry "
+                                "backoff"
+                            ) from error
+                    if sleep_s > 0:
+                        time.sleep(sleep_s)
+                    with self._flight_lock:
+                        self._backend_retries += 1
+                    self.metrics.backend_retries.inc()
+            # Retry budget exhausted or breaker open: degraded local fallback.
+            # Compute is pure, so the answer is byte-identical to a healthy
+            # worker's; only latency/throughput degrade.
+            with self._flight_lock:
+                self._fallbacks += 1
+            self.metrics.fallbacks.inc()
+            log_event(
+                "breaker_fallback",
+                trace_id=trace.trace_id if trace is not None else None,
+                breaker_state=self._breaker.state,
+            )
+            if deadline is not None and time.monotonic() >= deadline:
+                raise DeadlineExceededError(
+                    "request deadline expired before the degraded fallback "
+                    "could run"
+                ) from last_crash
+            fallback_span = (
+                trace.start_span(
+                    "engine.fallback", parent=trace_span, backend="thread-fallback"
+                )
+                if trace is not None
+                else None
+            )
+            try:
+                return self._compute_local(key, query_ids, k, alpha, state)
+            finally:
+                if fallback_span is not None:
+                    fallback_span.end()
         finally:
-            if fallback_span is not None:
-                fallback_span.end()
+            if redispatch_pin is not None:
+                redispatch_pin.lifecycle.release()
 
     def submit(
         self,
@@ -1309,18 +1199,9 @@ class NCEngine:
         # Hold the pin for the request's whole lifetime (resolution may
         # still lazily read the pinned view's name table): a concurrent
         # swap_snapshot retires this pin only after the last holder
-        # releases. Acquire-then-validate: a swap landing between pin()
-        # and acquire() could have already drained (and closed) the pin
-        # with zero holders, so a reference on a retired pin is given
-        # back and the new pin taken instead. The reference is
-        # transferred to _compute when a computation is scheduled, and
-        # dropped here on every other path.
-        while True:
-            state = self.pin()
-            state.lifecycle.acquire()
-            if state is self._pinned or not state.lifecycle.retired:
-                break
-            state.lifecycle.release()
+        # releases. The reference is transferred to _compute when a
+        # computation is scheduled, and dropped here on every other path.
+        state = self._acquire_pin()
         transferred = False
         submit_span = (
             trace.start_span("engine.submit", executor=self.config.executor)
@@ -1329,14 +1210,6 @@ class NCEngine:
         )
         try:
             query_ids = self._resolve(state, query)
-            if not state.snapshot.covers(query_ids):
-                # The graph grew between pin() and resolution; retry once
-                # on a fresh pin (the new snapshot covers every node).
-                fresh = self.pin()
-                if fresh is not state:
-                    fresh.lifecycle.acquire()
-                    state.lifecycle.release()
-                    state = fresh
             k = context_size if context_size is not None else self.config.context_size
             a = alpha if alpha is not None else self.config.alpha
             key = (
@@ -1536,7 +1409,6 @@ class NCEngine:
             cache_hits=hits,
             coalesced=coalesced,
             computed=computed,
-            repins=self._repins,
             pinned_version=pinned.snapshot.version if pinned else None,
             inflight=inflight,
             max_workers=self.config.max_workers,

@@ -698,10 +698,6 @@ class ServiceMetrics:
             "Worker-backend dispatches retried after a crash or a stale "
             "segment.",
         )
-        self.repins = reg.counter(
-            "nc_engine_repins_total",
-            "Snapshot re-pins (graph mutations and hot swaps).",
-        )
         self.swaps = reg.counter(
             "nc_engine_swaps_total",
             "Completed snapshot hot swaps.",

@@ -922,8 +922,8 @@ class NCRequestHandler(BaseHTTPRequestHandler):
             self._send_error_json(504, str(error), code="deadline_exceeded")
             return
         except StaleSnapshotError as error:
-            # the pinned snapshot was retired mid-request faster than the
-            # engine could re-pin (retry budget exhausted) — transient
+            # every dispatch found its snapshot swapped out before a worker
+            # attached it (retry budget exhausted) — transient
             self._send_error_json(
                 503, str(error), code="snapshot_retired", retry_after=1.0
             )

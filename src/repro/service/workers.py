@@ -16,8 +16,8 @@ that execute against the shared-memory graph snapshot published by
   resolution, the version-keyed result cache, single-flight coalescing,
   and segment publication;
 * workers receive batches of :class:`WorkerTask` orders — a few hundred
-  bytes each — and attach the snapshot **once per graph version** (an
-  shm segment for live-graph serving, an mmapped snapshot file for
+  bytes each — and attach the snapshot **once per graph version** (the
+  shm segment of a graph the engine froze, an mmapped snapshot file for
   ``repro serve --snapshot``), adopting the published frozen PPR
   transition CSR zero-copy (rebuilding it only when the publisher did
   not share one); per-request cost is one small task pickle and one
@@ -45,7 +45,9 @@ Segment lifecycle: the pool refcounts in-flight jobs per segment.
 or defers the unlink until its last in-flight job completes. A worker
 that loses the race anyway (task dispatched, segment unlinked before
 attach) reports the job as *stale* and the engine re-dispatches against
-the current version.
+the current version. The engine's own publications retire as no-ops:
+the frozen view that owns a segment unlinks it when the engine closes
+the view, after the version's last request has returned.
 
 Workers start via the ``spawn`` method: a fresh interpreter per worker
 (no inherited locks or thread state). The engine creates the pool on the
@@ -87,8 +89,8 @@ def _attach_header(header):
     """Attach whatever transport ``header`` describes.
 
     Two header species reach a worker: an shm
-    :class:`~repro.parallel.shm.SharedSnapshotHeader` (live-graph serving
-    — attach the named segment) and a disk
+    :class:`~repro.parallel.shm.SharedSnapshotHeader` (a graph the engine
+    froze — attach the named segment) and a disk
     :class:`~repro.disk.DiskSnapshotHeader` (snapshot-file serving — mmap
     the file; no publish step existed, so there is nothing to attach in
     the shm sense). Both return objects with the same attach surface, so

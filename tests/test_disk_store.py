@@ -1,5 +1,6 @@
 """The disk snapshot store: byte-exact round-trips, format guards, mmap reads."""
 
+import hashlib
 import os
 
 import pytest
@@ -250,3 +251,20 @@ class TestShmLayoutParity:
                 attached.close()
         finally:
             shared.unlink()
+
+    @pytest.mark.parametrize(
+        ("include_transition", "sha256"),
+        [
+            (True, "f95e1504aca4f31dc36888d7b25446e23b6c7dbba51204bc558b78fadd7aa103"),
+            (False, "683da309a74240c0a40aab17b25b3c7f644e55f55cb0a170764cbc29b0a0d053"),
+        ],
+    )
+    def test_figure1_snapshot_bytes_are_pinned(
+        self, tmp_path, include_transition, sha256
+    ):
+        """The file layout, byte for byte, as recorded with format version 1."""
+        from repro.datasets.figure1 import figure1_graph
+
+        path = tmp_path / "figure1.snap"
+        save_graph_snapshot(figure1_graph(), path, include_transition=include_transition)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.parallel.shm import (
     StaleSnapshotError,
     _attach_segment,
     attach_snapshot,
+    freeze_graph,
     publish_graph,
     publish_snapshot,
 )
@@ -274,14 +276,25 @@ class TestSharedTransition:
         finally:
             shared.unlink()
 
-    def test_transition_absent_by_default(self, published):
-        _, shared = published
-        attached = attach_snapshot(shared.header)
+    def test_transition_absent_by_default(self, fig1_graph):
+        compiled = fig1_graph.compiled()
+        shared = publish_snapshot(
+            compiled,
+            fig1_graph._node_names_list(),
+            [
+                fig1_graph._label_table().name(i)
+                for i in range(compiled.label_count)
+            ],
+        )
         try:
-            assert shared.header.transition is None
-            assert attached.transition() is None
+            attached = attach_snapshot(shared.header)
+            try:
+                assert shared.header.transition is None
+                assert attached.transition() is None
+            finally:
+                attached.close()
         finally:
-            attached.close()
+            shared.unlink()
 
     def test_publish_rejects_mismatched_transition(self, fig1_graph):
         from scipy import sparse
@@ -312,3 +325,24 @@ class TestSharedTransition:
             state = engine.pin()
             assert state.shared is not None
             assert state.shared.header.transition is not None
+
+
+class TestFreezeGraph:
+    def test_frozen_view_owns_its_segment(self, fig1_graph):
+        from repro.graph.matrix import transition_from_snapshot
+
+        view = freeze_graph(fig1_graph)
+        segment = f"/dev/shm/{view._attached.header.segment}"
+        assert os.path.exists(segment)
+        assert view.frozen and view.version == fig1_graph.version
+        expected = transition_from_snapshot(fig1_graph.compiled())
+        assert (view._attached.transition() != expected).nnz == 0
+        publication = view._attached.publication()
+        publication.unlink()  # retirement never unlinks an owned segment
+        assert os.path.exists(segment)
+        assert publication.segment == view._attached.header.segment
+        fig1_graph.add_edge("Angela_Merkel", "ownsPet", "Dog")
+        assert view.version != fig1_graph.version  # frozen at the call
+        view.close()
+        assert not os.path.exists(segment)
+        view.close()  # idempotent

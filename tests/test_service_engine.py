@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.findnc import FindNCResult
 from repro.datasets.figure1 import figure1_graph
-from repro.errors import QueryError
+from repro.errors import EntityResolutionError, QueryError
 from repro.service.engine import EngineConfig, NCEngine
 
 
@@ -78,48 +78,64 @@ class TestSearch:
 class TestPinning:
     def test_pin_is_stable_without_mutation(self, engine):
         assert engine.pin() is engine.pin()
-        assert engine.stats().repins == 1
+        assert engine.stats().swaps == 0
 
-    def test_repin_after_mutation(self, engine, graph):
+
+def _answer(result):
+    return [(r.label, r.score, r.inst_p_value, r.card_p_value) for r in result.results]
+
+
+class TestFrozenAtConstruction:
+    """A graph-built engine serves the version it froze at construction."""
+
+    def test_mutating_the_graph_changes_neither_answers_nor_version(
+        self, engine, graph
+    ):
+        version = engine.graph.version
+        assert version == graph.version
+        first = engine.search(QUERY)
         state = engine.pin()
-        graph.add_edge("Angela_Merkel", "testEdge", "Barack_Obama")
-        fresh = engine.pin()
-        assert fresh is not state
-        assert fresh.snapshot.version == graph.version
-        assert engine.stats().repins == 2
-
-    def test_query_on_node_added_after_pin(self, engine, graph):
-        engine.pin()
+        graph.add_edge("Angela_Merkel", "ownsPet", "Dog")
         graph.add_edge("Newcomer_Entity", "leaderOf", "Germany")
-        # the engine must transparently re-pin; the new node is servable
-        result = engine.search(["Newcomer_Entity"])
-        assert result.results is not None
+        assert graph.version > version
+        assert engine.graph.version == version
+        assert engine.pin() is state
+        engine.cache.clear()
+        assert _answer(engine.search(QUERY)) == _answer(first)
+        with pytest.raises(EntityResolutionError):
+            engine.search(["Newcomer_Entity"])
 
+    def test_swap_onto_a_snapshot_of_the_mutated_graph(
+        self, engine, graph, tmp_path
+    ):
+        from repro.disk import save_graph_snapshot
 
-class TestCacheUnderMutation:
-    def test_mutation_recomputes_and_purges(self, engine, graph):
         first = engine.search(QUERY)
         version_before = engine.stats().pinned_version
         assert engine.cache.stats().size == 1
-
         graph.add_edge("Angela_Merkel", "ownsPet", "Dog")
-        second = engine.search(QUERY)
+        graph.add_edge("Newcomer_Entity", "leaderOf", "Germany")
+        save_graph_snapshot(graph, tmp_path / "mutated.snap")
 
+        outcome = engine.swap_snapshot(tmp_path / "mutated.snap")
+
+        assert outcome.swapped
+        assert (outcome.old_version, outcome.new_version) == (
+            version_before,
+            graph.version,
+        )
+        second = engine.search(QUERY)
         stats = engine.stats()
-        assert stats.pinned_version == graph.version > version_before
-        assert stats.computed == 2  # old entry unreachable -> recomputed
+        assert stats.pinned_version == graph.version
+        assert stats.computed == 2  # the old entry is unreachable: recomputed
         assert second is not first
-        # re-pinning purged the stale version-keyed entry
         assert engine.cache.stats().purged == 1
         assert engine.cache.stats().size == 1
-        # and the new entry serves hits at the new version
         assert engine.request(QUERY).cached
-
-    def test_old_results_stay_usable_after_mutation(self, engine, graph):
-        first = engine.search(QUERY)
-        graph.add_edge("Angela_Merkel", "ownsPet", "Cat")
-        # the pinned-snapshot result object is immutable state; reading it
-        # after the graph moved on must still work
+        # the node added after construction is servable on the new version
+        assert engine.search(["Newcomer_Entity"]).results is not None
+        # the swapped-out (and closed) frozen copy leaves old results usable
+        assert version_before in stats.drained_versions
         assert first.notable_labels() == [n.label for n in first.notable]
         assert first.results[0].label == first.result_for(first.results[0].label).label
 

@@ -218,14 +218,6 @@ class TestSwapThreadBackend:
             finally:
                 view.close()
 
-    def test_swap_requires_a_frozen_engine(self, registry):
-        with NCEngine(
-            figure1_graph(),
-            config=EngineConfig(context_size=3, max_workers=2),
-        ) as engine:
-            with pytest.raises(ValueError, match="snapshot-backed"):
-                engine.swap_snapshot(registry.open_view(2))
-
     def test_swap_requires_a_frozen_view(self, registry):
         with NCEngine(
             registry.open_view(1),

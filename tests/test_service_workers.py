@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro.datasets.figure1 import figure1_graph
+from repro.disk import SnapshotRegistry, save_graph_snapshot
 from repro.errors import DeadlineExceededError
 from repro.parallel.shm import StaleSnapshotError, publish_graph
 from repro.service import faults
@@ -365,7 +366,7 @@ class TestProcessEngine:
         return figure1_graph()
 
     @pytest.mark.slow
-    def test_parity_lifecycle_and_no_segment_leaks(self, graph):
+    def test_parity_lifecycle_and_no_segment_leaks(self, graph, tmp_path):
         before = _segments()
         with NCEngine(
             graph,
@@ -407,21 +408,81 @@ class TestProcessEngine:
             assert stats.workers is not None and stats.workers["workers"] == 2
             assert stats.workers["completed"] >= 2
 
-            # -- version bump: re-pin publishes a new segment and unlinks
-            # the old one (no in-flight requests reference it) -------------
-            first_segment = engine._pinned.shared.segment
+            # -- swap onto a newer snapshot: the frozen copy's segment is
+            # unlinked once its version drains (no request references it) --
+            first_segment = engine.pin().shared.segment
             assert f"/dev/shm/{first_segment}" in _segments()
             graph.add_edge(
                 graph.add_node("New_Entity"), "type", graph.add_node("new_type")
             )
+            save_graph_snapshot(graph, tmp_path / "v2.snap")
+            assert engine.swap_snapshot(tmp_path / "v2.snap").swapped
             fresh = engine.search(QUERY)
             assert fresh is not outcome.result  # old version's cache purged
-            second_segment = engine._pinned.shared.segment
-            assert second_segment != first_segment
+            assert engine.pin().shared.segment.startswith("file://")
             assert f"/dev/shm/{first_segment}" not in _segments()
-            assert f"/dev/shm/{second_segment}" in _segments()
         # -- engine close unlinks everything it published ------------------
         assert _segments() <= before
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("use", ["none", "pin", "search"])
+    def test_graph_built_engine_leaves_no_segment(self, graph, executor, use):
+        before = _segments()
+        engine = NCEngine(
+            graph,
+            config=EngineConfig(context_size=3, max_workers=1, executor=executor),
+        )
+        try:
+            assert len(_segments() - before) == 1  # the frozen copy
+            if use == "pin":
+                engine.pin()
+            elif use == "search":
+                assert engine.search(QUERY).results
+        finally:
+            engine.close()
+        assert _segments() <= before
+
+    def test_stale_redispatch_holds_its_pin(self, tmp_path, monkeypatch):
+        """A stale re-dispatch runs on a pin it holds a reference to.
+
+        The first dispatch swaps v1 -> v2 and reports its segment stale;
+        the re-dispatch then observes the fresh v2 pin's in-flight count
+        and swaps again, v2 -> v3, while it still runs on v2.
+        """
+        registry = SnapshotRegistry(tmp_path / "serving")
+        for _ in range(3):
+            registry.publish_graph(figure1_graph())
+        run = ProcessWorkerPool.run
+        dispatched, observed = [], {}
+        config = EngineConfig(
+            context_size=3, max_workers=1, executor="process", seed=5
+        )
+        with NCEngine(registry.open_view(2), config=config) as fresh:
+            expected = fresh.search(QUERY)
+        with NCEngine(registry.open_view(1), config=config) as engine:
+
+            def racing_run(pool, **kwargs):
+                dispatched.append(kwargs["header"].version)
+                if len(dispatched) == 1:
+                    engine.swap_snapshot(registry.open_view(2))
+                    raise StaleSnapshotError("segment retired before attach")
+                observed["inflight"] = engine.pin().lifecycle.inflight
+                engine.swap_snapshot(registry.open_view(3))
+                observed["drained"] = engine.stats().drained_versions
+                return run(pool, **kwargs)
+
+            monkeypatch.setattr(ProcessWorkerPool, "run", racing_run)
+            result = engine.search(QUERY)
+            stats = engine.stats()
+        assert dispatched == [1, 2]
+        # v2 is held by the re-dispatch and v1 by the request itself, so
+        # neither drains while the job runs; both do once it returns.
+        assert observed == {"inflight": 1, "drained": ()}
+        assert sorted(stats.drained_versions) == [1, 2]
+        assert stats.retries == 1
+        assert [(r.label, r.score) for r in result.results] == [
+            (r.label, r.score) for r in expected.results
+        ]
 
     def test_deterministic_across_backends_and_cache_clears(self, graph):
         with NCEngine(

@@ -51,7 +51,7 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.model import KnowledgeGraph
 from repro.service.engine import NCEngine, SearchOutcome, SwapOutcome
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "CharacteristicDistributions",

@@ -322,9 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=1,
-        help="process executor only: members per worker micro-batch; 1 "
-        "(default) disables micro-batching, higher values amortize the "
-        "power-iteration sweep across concurrent distinct queries",
+        help="process executor only: members per worker micro-batch; at 1 "
+        "(default) the dispatcher sends each request alone at once, higher "
+        "values amortize the power-iteration sweep across concurrent "
+        "distinct queries",
     )
     serve.add_argument("--seed", type=int, default=11)
     serve.add_argument(

@@ -29,9 +29,9 @@ disk with no :class:`~repro.graph.model.KnowledgeGraph` in memory.
 
 Lifecycle: snapshot files are immutable once written (the writer goes
 through a temp file + atomic rename, so readers never observe a torn
-file). There is nothing to unlink: the
-:class:`~repro.parallel.shm.SnapshotPublication` a served file hands the
-engine's segment-lifecycle plumbing retires as a no-op.
+file). There is nothing to unlink: process workers open a served file
+by the path in its :class:`DiskSnapshotHeader`, and the file outlives
+every server.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from repro.parallel.shm import (
     TRANSITION_FIELDS,
     SharedNameTable,
     SnapshotGraphView,
-    SnapshotPublication,
     _aligned,
     build_transition_csr,
     snapshot_blocks,
@@ -294,10 +293,6 @@ class DiskSnapshot:
             self.header.node_count,
         )
         return self._transition
-
-    def publication(self) -> SnapshotPublication:
-        """The handle the engine ships to process workers (path + scalars)."""
-        return SnapshotPublication(self.header)
 
     def close(self) -> None:
         """Drop every view and release the mapping.

@@ -23,7 +23,6 @@ from repro.parallel.shm import (
     SharedSnapshot,
     SharedSnapshotHeader,
     SnapshotGraphView,
-    SnapshotPublication,
     attach_snapshot,
     freeze_graph,
     publish_snapshot,
@@ -33,7 +32,6 @@ __all__ = [
     "SharedSnapshot",
     "SharedSnapshotHeader",
     "SnapshotGraphView",
-    "SnapshotPublication",
     "attach_snapshot",
     "freeze_graph",
     "publish_snapshot",

@@ -460,37 +460,6 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
         ) from error
 
 
-class SnapshotPublication:
-    """The engine-facing handle of a served snapshot.
-
-    What the engine parks in its pinned state and the worker pool
-    refcounts: the picklable ``header`` workers attach with (an shm
-    :class:`SharedSnapshotHeader` or a disk
-    :class:`~repro.disk.DiskSnapshotHeader`) plus its rendezvous key.
-    Retirement is free: :meth:`unlink` is a deliberate no-op, because the
-    snapshot belongs to whoever opened it — a disk file outlives every
-    server, and a frozen shm view unlinks its segment when it is closed.
-    """
-
-    def __init__(self, header) -> None:
-        self.header = header
-
-    @property
-    def segment(self) -> str:
-        """The rendezvous key (segment name or ``file://`` + path)."""
-        return self.header.segment
-
-    @property
-    def version(self) -> int:
-        """The graph version the snapshot holds."""
-        return self.header.version
-
-    def unlink(self) -> None:
-        """No-op: the snapshot's owner releases it, not its servers."""
-
-    close = unlink
-
-
 class AttachedSnapshot:
     """A read-only reconstruction of a published snapshot.
 
@@ -562,10 +531,6 @@ class AttachedSnapshot:
         )
         view.setflags(write=False)
         return view
-
-    def publication(self) -> SnapshotPublication:
-        """The handle the engine ships to process workers (the header)."""
-        return SnapshotPublication(self.header)
 
     def close(self) -> None:
         """Release this process's mapping; an owned segment is unlinked.

@@ -39,9 +39,10 @@ The engine turns the library pipeline into a servable primitive:
   adopts the new version (new requests pin it immediately, the
   version-keyed cache invalidates by unreachability) and drains the
   old one — every request holds a per-pin in-flight reference, and the
-  superseded pin is retired (its publication handed to the worker
-  pool's refcount/retire machinery, the old view closed) exactly when
-  its last request completes. ``repro serve --snapshot-dir`` plus
+  superseded pin is retired (the old view closed, which unlinks a
+  segment the engine froze) exactly when its last request completes.
+  This per-pin drain is the only one: process workers attach the
+  version by header and never own it. ``repro serve --snapshot-dir`` plus
   ``POST /v1/admin/reload`` drive this from a
   :class:`~repro.disk.registry.SnapshotRegistry`.
 
@@ -67,6 +68,7 @@ from collections.abc import Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.context import RandomWalkContext
 from repro.core.findnc import FindNCResult
@@ -74,7 +76,7 @@ from repro.errors import DeadlineExceededError, EngineSaturatedError, QueryError
 from repro.graph.compiled import CompiledGraph
 from repro.graph.model import KnowledgeGraph, NodeRef
 from repro.graph.search import EntityIndex, resolve_node_refs
-from repro.parallel.shm import SnapshotPublication, StaleSnapshotError, freeze_graph
+from repro.parallel.shm import SharedSnapshotHeader, StaleSnapshotError, freeze_graph
 from repro.service import faults
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.metrics import ServiceMetrics
@@ -86,6 +88,9 @@ from repro.service.workers import (
     WorkerTask,
     execute_batch,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.disk.store import DiskSnapshotHeader
 
 
 class CircuitBreaker:
@@ -269,11 +274,12 @@ class EngineConfig:
     breaker_threshold: int = 5
     breaker_reset_s: float = 30.0
     snapshot_source: "str | None" = None
-    #: Micro-batching (process executor only): gather up to ``max_batch``
-    #: concurrent requests pinned to the same snapshot for at most
-    #: ``batch_window_ms`` and execute them with one shared power
-    #: iteration per worker round-trip. ``max_batch=1`` disables batching;
-    #: ``max_batch > 1`` with the thread executor is rejected.
+    #: Micro-batching (process executor only): the pool's dispatcher
+    #: gathers up to ``max_batch`` concurrent requests pinned to the same
+    #: snapshot for at most ``batch_window_ms`` and executes them with one
+    #: shared power iteration per worker round-trip. With ``max_batch=1``
+    #: the dispatcher sends each request alone at once; ``max_batch > 1``
+    #: with the thread executor is rejected.
     batch_window_ms: float = 0.0
     max_batch: int = 1
     #: Request tracing (see :mod:`repro.service.tracing`):
@@ -399,12 +405,12 @@ class _PinLifecycle:
     requests finish on the old version.
     """
 
-    __slots__ = ("_lock", "_inflight", "_retired", "_on_drained")
+    __slots__ = ("_lock", "_inflight", "_superseded", "_on_drained")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._inflight = 0
-        self._retired = False
+        self._superseded = False
         self._on_drained: "list" = []
 
     def acquire(self) -> None:
@@ -416,7 +422,7 @@ class _PinLifecycle:
         """Drop one reference; fires drain callbacks on the last one."""
         with self._lock:
             self._inflight -= 1
-            if self._retired and self._inflight <= 0:
+            if self._superseded and self._inflight <= 0:
                 callbacks, self._on_drained = self._on_drained, []
             else:
                 callbacks = []
@@ -429,7 +435,7 @@ class _PinLifecycle:
         Runs it immediately when nothing is in flight.
         """
         with self._lock:
-            self._retired = True
+            self._superseded = True
             if self._inflight > 0:
                 self._on_drained.append(on_drained)
                 on_drained = None
@@ -446,7 +452,7 @@ class _PinLifecycle:
     def retired(self) -> bool:
         """Whether this pin has been superseded (swap/close happened)."""
         with self._lock:
-            return self._retired
+            return self._superseded
 
 
 @dataclass(frozen=True)
@@ -456,18 +462,18 @@ class _PinnedState:
     ``view`` is the frozen snapshot view the pin was built from: names
     resolve and labels read against it, never against the engine's
     current graph, so a request in flight across a hot swap answers
-    wholly from its own version. ``shared`` is the view's publication,
-    whose header process workers attach the snapshot from; the pool
-    refcounts it per segment and retires it when the pin is replaced.
-    ``lifecycle`` is the pin's mutable drain bookkeeping (see
-    :class:`_PinLifecycle`).
+    wholly from its own version. ``header`` is the view's picklable
+    transport description (an shm segment or a snapshot file path),
+    which process workers attach the snapshot from. ``lifecycle`` is the
+    pin's mutable drain bookkeeping (see :class:`_PinLifecycle`), the one
+    drain that decides when the view may be closed.
     """
 
     view: KnowledgeGraph
     snapshot: CompiledGraph
     selector: RandomWalkContext
     entity_index: EntityIndex
-    shared: SnapshotPublication
+    header: "SharedSnapshotHeader | DiskSnapshotHeader"
     lifecycle: _PinLifecycle = field(default_factory=_PinLifecycle)
 
 
@@ -612,16 +618,13 @@ class NCEngine:
         self._cache = ResultCache(
             maxsize=config.cache_size, on_event=self.metrics.cache_event
         )
-        # In process mode with micro-batching, the thread pool only parks
-        # dispatching threads while their batch members wait on workers —
-        # widen it so a full batch per worker can be in flight at once
-        # (otherwise the dispatch layer itself would cap batch sizes at
-        # max_workers).
-        dispatch_width = config.max_workers
-        if config.max_batch > 1:  # implies the process executor
-            dispatch_width = config.max_workers * config.max_batch
+        # In process mode the thread pool only parks dispatching threads
+        # while their batch members wait on workers — one full batch per
+        # worker can be in flight at once (a narrower pool would cap batch
+        # sizes at max_workers). max_batch is 1 on the thread executor.
         self._executor = ThreadPoolExecutor(
-            max_workers=dispatch_width, thread_name_prefix="nc-query"
+            max_workers=config.max_workers * config.max_batch,
+            thread_name_prefix="nc-query",
         )
         self._pool: ProcessWorkerPool | None = None
         self._pool_lock = threading.Lock()
@@ -784,7 +787,7 @@ class NCEngine:
         or mmapped file), and when it carries the frozen PPR transition
         CSR the selector adopts it, so pinning costs an entity-index
         build and little else. Process workers attach the view's own
-        publication: the segment, or the file by path.
+        transport by its header: the segment, or the file by path.
         :meth:`swap_snapshot` builds the replacement pin with this before
         the engine atomically adopts it.
         """
@@ -805,7 +808,7 @@ class NCEngine:
             snapshot=graph.compiled(),
             selector=selector,
             entity_index=EntityIndex(graph),
-            shared=attached.publication(),
+            header=attached.header,
         )
 
     # -- hot swap ----------------------------------------------------------
@@ -830,10 +833,9 @@ class NCEngine:
           are purged eagerly);
         * in-flight requests finish on the old pin — each request holds
           an in-flight reference for its whole lifetime, and the old pin
-          is only *retired* (process-mode publication handed to the
-          worker pool's per-segment refcount/retire machinery, the old
-          view's mapping closed when ``close_drained``) once the last
-          one completes. Drained versions are recorded in
+          is only *retired* (the old view's mapping closed when
+          ``close_drained``, which unlinks a segment the engine froze)
+          once the last one completes. Drained versions are recorded in
           ``stats().drained_versions``.
 
         Swapping to the version already pinned is an idempotent no-op
@@ -901,17 +903,15 @@ class NCEngine:
         )
 
     def _retire_pin(self, previous: _PinnedState, old_graph) -> None:
-        """Hand a superseded pin to the drain machinery.
+        """Hand a superseded pin to its drain.
 
-        The publication goes to the worker pool's per-segment refcount
-        (workers attached to the old version finish their jobs). The
-        parent-side pin drains on the engine's own in-flight refcount; at
-        the last release the old view is closed (when the engine owns
-        it), which unlinks a segment the engine froze, and the version is
-        recorded as drained.
+        The pin drains on the engine's own in-flight refcount, which
+        every request holds until its answer returns — worker jobs
+        included, so no worker still needs the old version once it
+        drains. At the last release the old view is closed (when the
+        engine owns it), which unlinks a segment the engine froze, and
+        the version is recorded as drained.
         """
-        if self._pool is not None:
-            self._pool.retire(previous.shared)
         version = previous.snapshot.version
         with self._flight_lock:
             self._draining[version] = previous
@@ -1066,7 +1066,7 @@ class NCEngine:
                     break  # degraded mode: skip the pool entirely
                 try:
                     result = pool.run(
-                        header=state.shared.header,
+                        header=state.header,
                         query_ids=query_ids,
                         context_size=k,
                         alpha=alpha,

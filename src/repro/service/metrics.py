@@ -714,8 +714,8 @@ class ServiceMetrics:
         )
         self.worker_batch_size = reg.histogram(
             "nc_worker_batch_size",
-            "Members per dispatched worker micro-batch (only populated when "
-            "the pool runs with max_batch > 1).",
+            "Members per dispatched worker batch (a lone request is a "
+            "batch of one).",
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
         )
         self.ingest_batches = reg.counter(

@@ -26,11 +26,12 @@ that execute against the shared-memory graph snapshot published by
   as one list per batch over one shared queue drained by a collector
   thread that resolves the parent-side jobs.
 
-Every message is a batch. With ``max_batch=1`` each ``run`` call ships
-its task at once as a batch of one. With ``max_batch > 1`` tasks queue
-in a parent-side pending deque and a dispatcher thread drains them into
-micro-batches — up to ``max_batch`` tasks pinned to the *same* snapshot
-segment, gathered for at most ``batch_window_ms``. The worker answers
+Every message is a batch, and every task takes one path to a worker:
+``run`` appends it to a parent-side pending deque, and a dispatcher
+thread drains the deque into micro-batches — up to ``max_batch`` tasks
+pinned to the *same* snapshot segment, gathered for at most
+``batch_window_ms``. With ``max_batch=1`` a pending task is already a
+full batch, so the dispatcher sends it alone at once. The worker answers
 every member's context search with a single shared multi-column power
 iteration (:meth:`~repro.core.context.RandomWalkContext.select_many`) and
 one fused distribution sweep, so per-step sparse-matmat cost and
@@ -40,14 +41,12 @@ alone (``tests/test_batch_parity.py``), and a member whose deadline
 expires while waiting in the batch window is shed alone — its batchmates
 still execute.
 
-Segment lifecycle: the pool refcounts in-flight jobs per segment.
-:meth:`ProcessWorkerPool.retire` unlinks a segment immediately when idle,
-or defers the unlink until its last in-flight job completes. A worker
-that loses the race anyway (task dispatched, segment unlinked before
-attach) reports the job as *stale* and the engine re-dispatches against
-the current version. The engine's own publications retire as no-ops:
-the frozen view that owns a segment unlinks it when the engine closes
-the view, after the version's last request has returned.
+Segment lifecycle: the pool owns no segment and unlinks nothing. Whoever
+published a snapshot releases it — the engine closes a superseded view
+once its version's last request has returned, and a frozen view unlinks
+its segment on close. A worker whose segment (or snapshot file) is gone
+before it attaches reports the job as *stale*, and the engine
+re-dispatches against the current version.
 
 Workers start via the ``spawn`` method: a fresh interpreter per worker
 (no inherited locks or thread state). The engine creates the pool on the
@@ -75,7 +74,6 @@ from repro.core.distributions import sweep_counts_many
 from repro.core.findnc import FindNC, FindNCResult
 from repro.errors import DeadlineExceededError
 from repro.parallel.shm import (
-    SharedSnapshot,
     SharedSnapshotHeader,
     SnapshotGraphView,
     StaleSnapshotError,
@@ -295,22 +293,21 @@ def _run_group(view, snapshot, selector, tasks, indices, recorder) -> list:
 
 
 def _replies(members, outcomes, recorder) -> list:
-    """The ``(job_id, segment, status, payload)`` entry of every member."""
+    """The ``(job_id, status, payload)`` entry of every member."""
     replies = []
     for index, (task, outcome) in enumerate(zip(members, outcomes)):
-        segment = task.header.segment
         if isinstance(outcome, Exception):
             remote = traceback.format_exception(
                 type(outcome), outcome, outcome.__traceback__
             )
             replies.append(
-                (task.job_id, segment, "error", (repr(outcome), "".join(remote)))
+                (task.job_id, "error", (repr(outcome), "".join(remote)))
             )
         elif recorder is not None and task.trace is not None:
             payload = (outcome, recorder.export(index))
-            replies.append((task.job_id, segment, "ok", payload))
+            replies.append((task.job_id, "ok", payload))
         else:
-            replies.append((task.job_id, segment, "ok", outcome))
+            replies.append((task.job_id, "ok", outcome))
     return replies
 
 
@@ -318,8 +315,8 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
     """The worker process loop: attach-per-version, a batch per message.
 
     Each message is a tuple of :class:`WorkerTask` pinned to one segment;
-    the reply is one list of ``(job_id, segment, status, payload)``
-    entries, in member order, with status ``"ok"`` (payload: the pickled
+    the reply is one list of ``(job_id, status, payload)`` entries, in
+    member order, with status ``"ok"`` (payload: the pickled
     :class:`~repro.core.findnc.FindNCResult`), ``"stale"`` (the segment
     was unlinked before this worker could attach) or ``"error"``
     (payload: ``(repr, traceback string)``).
@@ -423,12 +420,12 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
             view = None
             selector = None
             result_queue.put(
-                [(member.job_id, segment, "stale", None) for member in members]
+                [(member.job_id, "stale", None) for member in members]
             )
         except BaseException as error:  # noqa: BLE001 - forwarded to the parent
             payload = (repr(error), traceback.format_exc())
             result_queue.put(
-                [(member.job_id, segment, "error", payload) for member in members]
+                [(member.job_id, "error", payload) for member in members]
             )
 
     # Orderly shutdown: release the mapping before the interpreter exits.
@@ -441,21 +438,21 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
 class _Job:
     """Parent-side slot one in-flight task resolves into.
 
-    ``process`` is ``None`` while the task waits in the batch window (the
+    ``process`` is ``None`` while the task waits in the pending deque (the
     dispatcher thread assigns it at batch send time); the waiter's
     liveness watchdog only engages once a process is attached.
     ``dispatched_ns`` is stamped at the same moment — the boundary between
-    the trace's ``pool.gather`` span (batch-window wait) and its
+    the trace's ``pool.gather`` span (pending wait) and its
     ``pool.worker`` span (dispatch through result).
     """
 
     __slots__ = ("event", "status", "payload", "process", "dispatched_ns")
 
-    def __init__(self, process=None) -> None:
+    def __init__(self) -> None:
         self.event = threading.Event()
         self.status: str | None = None
         self.payload: object = None
-        self.process = process
+        self.process = None
         self.dispatched_ns: "int | None" = None
 
 
@@ -470,13 +467,12 @@ class WorkerPoolStats:
     stale_retries: int
     respawns: int
     inflight: int
-    retired_segments: int
     #: Jobs abandoned because their deadline expired mid-flight.
     deadline_abandons: int = 0
     #: Respawns refused by the rate limiter (slot left dead until
     #: :meth:`ProcessWorkerPool.revive` or the window rolls over).
     respawns_suppressed: int = 0
-    #: Micro-batches dispatched (0 unless the pool runs with max_batch > 1).
+    #: Batches dispatched (a lone task is a batch of one).
     batches: int = 0
     #: Members across those batches; mean batch size = members / batches.
     batched_members: int = 0
@@ -491,7 +487,6 @@ class WorkerPoolStats:
             "stale_retries": self.stale_retries,
             "respawns": self.respawns,
             "inflight": self.inflight,
-            "retired_segments": self.retired_segments,
             "deadline_abandons": self.deadline_abandons,
             "respawns_suppressed": self.respawns_suppressed,
             "batches": self.batches,
@@ -515,12 +510,11 @@ class ProcessWorkerPool:
     events (the engine wires it to its metrics registry); a raising
     callback is swallowed.
 
-    Micro-batching: with ``max_batch > 1``, ``run`` enqueues tasks onto a
-    pending deque and a dispatcher thread groups them by snapshot segment
-    into batches of up to ``max_batch``, waiting at most
-    ``batch_window_ms`` for stragglers once a task is pending. The default
-    (``max_batch=1``) sends each task from ``run`` directly, as a batch
-    of one.
+    Dispatch: ``run`` enqueues every task onto a pending deque, and a
+    dispatcher thread groups them by snapshot segment into batches of up
+    to ``max_batch``, waiting at most ``batch_window_ms`` for stragglers
+    once a task is pending. With the default ``max_batch=1`` each task is
+    a full batch on arrival and goes out alone at once.
     ``on_batch`` is an optional callback ``(size: int)`` fired per
     dispatched batch (the engine wires it to a batch-size histogram).
     """
@@ -529,7 +523,6 @@ class ProcessWorkerPool:
         self,
         workers: int,
         *,
-        start_method: str = "spawn",
         watchdog_tick: float = 0.5,
         crash_grace_s: float = 1.0,
         respawn_limit: int = 8,
@@ -560,7 +553,7 @@ class ProcessWorkerPool:
         self._respawn_limit = respawn_limit
         self._respawn_window_s = respawn_window_s
         self._on_event = on_event
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context("spawn")
         self._result_queue = self._ctx.SimpleQueue()
         self._processes: list = []
         self._task_queues: list = []
@@ -573,8 +566,6 @@ class ProcessWorkerPool:
         self._jobs: dict[int, _Job] = {}
         self._job_ids = itertools.count(1)
         self._round_robin = 0
-        self._inflight_by_segment: dict[str, int] = {}
-        self._retired: dict[str, SharedSnapshot] = {}
         self._dispatched = 0
         self._completed = 0
         self._stale_retries = 0
@@ -590,12 +581,10 @@ class ProcessWorkerPool:
         self._batched_members = 0
         self._pending: "deque[tuple[int, WorkerTask]]" = deque()
         self._batch_cond = threading.Condition(self._lock)
-        self._dispatcher: "threading.Thread | None" = None
-        if max_batch > 1:
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_batches, name="nc-batch-dispatcher", daemon=True
-            )
-            self._dispatcher.start()
+        self._dispatcher = threading.Thread(
+            target=self._dispatch_batches, name="nc-batch-dispatcher", daemon=True
+        )
+        self._dispatcher.start()
         self._collector = threading.Thread(
             target=self._collect, name="nc-worker-collector", daemon=True
         )
@@ -711,28 +700,28 @@ class ProcessWorkerPool:
         trace=None,
         trace_span=None,
     ) -> FindNCResult:
-        """Execute one task on the next worker (round-robin); block for it.
+        """Queue one task for the dispatcher; block until a worker answers.
 
         ``trace`` (a :class:`~repro.service.tracing.Trace`) opts this job
         into span recording: the task ships the trace id across the
         pickle boundary, the worker times its phases locally, and on
         completion this method stitches the result under ``trace_span``
-        as ``pool.gather`` (batch-window wait, batching only) and
+        as ``pool.gather`` (wait in the pending deque) and
         ``pool.worker`` (dispatch → result, carrying the worker-recorded
         phase spans rebased onto the dispatch instant).
 
         ``deadline`` is an absolute :func:`time.monotonic` instant: an
         already-expired deadline cancels the job before dispatch, and an
-        in-flight job whose deadline passes is abandoned (segment
-        refcount given back; a late worker result is dropped by the
-        collector's decrement-once bookkeeping) and surfaces
-        :class:`~repro.errors.DeadlineExceededError` within one watchdog
-        tick. The worker may still finish the computation — results are
+        in-flight job whose deadline passes is abandoned (its slot is
+        dropped, so the collector discards a late worker result) and
+        surfaces :class:`~repro.errors.DeadlineExceededError` within one
+        watchdog tick. The worker may still finish the computation — results are
         pure, so the only cost is wasted work.
 
-        Raises :class:`StaleSnapshotError` when the segment was retired
+        Raises :class:`StaleSnapshotError` when the snapshot was gone
         before the worker attached (callers re-dispatch with the current
-        header), :class:`RemoteQueryError` for worker-side failures, and
+        header), :class:`RemoteQueryError` for worker-side failures (and
+        for a task that cannot be pickled onto a worker queue), and
         :class:`WorkerCrashError` if the worker process died.
         """
         if deadline is not None and time.monotonic() >= deadline:
@@ -746,8 +735,6 @@ class ProcessWorkerPool:
             raise DeadlineExceededError(
                 "request deadline expired before the job could be dispatched"
             )
-        batching = self._max_batch > 1
-        slot = -1
         enqueued_ns = time.monotonic_ns()
         with self._lock:
             if self._closed:
@@ -763,35 +750,15 @@ class ProcessWorkerPool:
                 header=header,
                 trace=trace.trace_id if trace is not None else None,
             )
-            if batching:
-                # The dispatcher thread assigns the worker at batch send
-                # time; until then the job has no process and the liveness
-                # watchdog below stays out of the way.
-                job = _Job(None)
-                self._jobs[job_id] = job
-                self._pending.append((job_id, task))
-                self._batch_cond.notify()
-            else:
-                slot = self._round_robin % self.workers
-                self._round_robin += 1
-                job = _Job(self._processes[slot])
-                job.dispatched_ns = enqueued_ns
-                self._jobs[job_id] = job
-            self._inflight_by_segment[header.segment] = (
-                self._inflight_by_segment.get(header.segment, 0) + 1
-            )
+            # The dispatcher thread assigns the worker at batch send
+            # time; until then the job has no process and the liveness
+            # watchdog below stays out of the way.
+            job = _Job()
+            self._jobs[job_id] = job
+            self._pending.append((job_id, task))
+            self._batch_cond.notify()
             self._dispatched += 1
         self._emit("dispatch")
-        if not batching:
-            try:
-                self._task_queues[slot].put((task,))
-            except BaseException:
-                # put() pickles the task on the calling thread; a failure
-                # here (e.g. an unpicklable discriminator param) must give
-                # back the job slot and the segment refcount or retired
-                # segments could never unlink.
-                self._abandon(job_id, header.segment)
-                raise
         # Wait with a liveness watchdog: a worker killed mid-job would
         # otherwise leave this job waiting forever. The wait is chunked
         # by the watchdog tick and clipped to the deadline, so both a
@@ -802,7 +769,7 @@ class ProcessWorkerPool:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     still_queued = job.process is None
-                    self._abandon(job_id, header.segment)
+                    self._abandon(job_id)
                     with self._lock:
                         self._deadline_abandons += 1
                     self._emit("deadline_abandon")
@@ -830,7 +797,7 @@ class ProcessWorkerPool:
                 # grace window to drain it before declaring the job lost.
                 if job.event.wait(timeout=self._crash_grace_s):
                     break
-                self._abandon(job_id, header.segment)
+                self._abandon(job_id)
                 self._emit("crash")
                 replaced = self._respawn(process)
                 raise WorkerCrashError(
@@ -849,12 +816,8 @@ class ProcessWorkerPool:
                 # A traced task's ok payload is (result, worker spans).
                 result, worker_spans = payload  # type: ignore[misc]
                 done_ns = time.monotonic_ns()
-                dispatched_ns = (
-                    job.dispatched_ns
-                    if job.dispatched_ns is not None
-                    else enqueued_ns
-                )
-                if batching and dispatched_ns > enqueued_ns:
+                dispatched_ns = job.dispatched_ns
+                if dispatched_ns > enqueued_ns:
                     trace.add_span(
                         "pool.gather",
                         start_ns=enqueued_ns,
@@ -890,7 +853,7 @@ class ProcessWorkerPool:
                 self._stale_retries += 1
             self._emit("stale")
             raise StaleSnapshotError(
-                f"segment {header.segment!r} was retired before the worker attached"
+                f"segment {header.segment!r} was gone before the worker attached"
             )
         error_repr, remote_traceback = job.payload  # type: ignore[misc]
         raise RemoteQueryError(
@@ -898,44 +861,26 @@ class ProcessWorkerPool:
             f"{remote_traceback}"
         )
 
-    def _abandon(self, job_id: int, segment: str) -> None:
-        """Drop a job whose worker died; fix the segment refcount.
+    def _abandon(self, job_id: int) -> "_Job | None":
+        """Drop a job from the table; the job, if it was still there.
 
-        The refcount is given back only if this call actually removed the
-        job — the collector may have resolved it concurrently, and each
-        job decrements its segment exactly once.
+        The dispatcher skips a pending entry whose job is gone, and the
+        collector discards a late result for it.
         """
-        unlink_now: SharedSnapshot | None = None
         with self._lock:
-            job = self._jobs.pop(job_id, None)
-            if job is not None:
-                unlink_now = self._decrement_segment_locked(segment)
-        if unlink_now is not None:
-            unlink_now.unlink()
+            return self._jobs.pop(job_id, None)
 
-    # -- micro-batch dispatch ----------------------------------------------
-
-    def _resolve_local_error(self, job_id: int, segment: str, payload) -> None:
-        """Fail a job from the parent side (batch pickling broke)."""
-        unlink_now: SharedSnapshot | None = None
-        with self._lock:
-            job = self._jobs.pop(job_id, None)
-            if job is not None:
-                unlink_now = self._decrement_segment_locked(segment)
-        if unlink_now is not None:
-            unlink_now.unlink()
-        if job is not None:
-            job.status = "error"
-            job.payload = payload
-            job.event.set()
+    # -- dispatch ----------------------------------------------------------
 
     def _dispatch_batches(self) -> None:
         """Drain pending tasks into segment-grouped micro-batches.
 
-        Runs on the dedicated dispatcher thread (only started when
-        ``max_batch > 1``). Once a task is pending, up to
+        Runs on the dedicated dispatcher thread, the one path from ``run``
+        to a worker queue. Once a task is pending, up to
         ``batch_window_ms`` is spent gathering same-segment companions —
-        the window caps queueing latency, ``max_batch`` caps batch size.
+        the window caps queueing latency, ``max_batch`` caps batch size,
+        and a batch that is already full (every lone task at
+        ``max_batch=1``) goes out without waiting.
         Entries whose job id is no longer registered were shed by their
         caller's deadline while queued; they are dropped member-by-member
         without disturbing the rest of the batch. Tasks pinned to a
@@ -1009,8 +954,12 @@ class ProcessWorkerPool:
                 self._task_queues[slot].put(tuple(task for _, task in picked))
             except BaseException as error:  # noqa: BLE001 - resolve all members
                 payload = (repr(error), traceback.format_exc())
-                for job_id, task in picked:
-                    self._resolve_local_error(job_id, task.header.segment, payload)
+                for job_id, _task in picked:
+                    job = self._abandon(job_id)
+                    if job is not None:
+                        job.status = "error"
+                        job.payload = payload
+                        job.event.set()
 
     # -- collection --------------------------------------------------------
 
@@ -1021,55 +970,24 @@ class ProcessWorkerPool:
                 break
             # A batch answers with one list of per-member entries (one
             # pickle for the whole batch).
-            for job_id, segment, status, payload in message:
-                unlink_now: SharedSnapshot | None = None
+            for job_id, status, payload in message:
                 with self._lock:
+                    # An abandoned job (deadline or crash watchdog) is no
+                    # longer registered: its late result is dropped here.
                     job = self._jobs.pop(job_id, None)
                     if job is not None:
-                        # Decrement exactly once per job: an abandoned job
-                        # (crash watchdog) already gave its refcount back in
-                        # _abandon, and its late message must not decrement
-                        # the segment a second time — that could unlink a
-                        # retired segment while another job still reads it.
-                        unlink_now = self._decrement_segment_locked(segment)
                         self._completed += 1
-                if unlink_now is not None:
-                    unlink_now.unlink()
                 if job is not None:
                     job.status = status
                     job.payload = payload
                     job.event.set()
                     self._emit("complete")
 
-    def _decrement_segment_locked(self, segment: str) -> "SharedSnapshot | None":
-        """Drop one in-flight ref; return a retired segment now ready to unlink."""
-        count = self._inflight_by_segment.get(segment, 0) - 1
-        if count > 0:
-            self._inflight_by_segment[segment] = count
-            return None
-        self._inflight_by_segment.pop(segment, None)
-        return self._retired.pop(segment, None)
-
-    # -- segment lifecycle -------------------------------------------------
-
-    def retire(self, shared: SharedSnapshot) -> None:
-        """Unlink ``shared`` as soon as no in-flight job references it.
-
-        Called by the engine when a graph version is superseded: idle
-        segments unlink immediately; busy ones are parked and unlinked by
-        the collector when their last job completes.
-        """
-        with self._lock:
-            if not self._closed and self._inflight_by_segment.get(shared.segment, 0) > 0:
-                self._retired[shared.segment] = shared
-                return
-        shared.unlink()
-
     # -- lifecycle ---------------------------------------------------------
 
     def close(self, *, timeout: float = 10.0) -> None:
-        """Drain in-flight work, stop workers and the collector, unlink
-        parked segments.
+        """Drain in-flight work, then stop the dispatcher, workers and
+        the collector.
 
         Graceful-drain ordering: setting ``_closed`` rejects *new* ``run``
         calls, then the dispatcher is joined so it flushes every
@@ -1085,13 +1003,12 @@ class ProcessWorkerPool:
             if self._closed:
                 return
             self._closed = True
-        if self._dispatcher is not None:
-            # Wake the dispatcher so it observes _closed, flushes its
-            # pending members, and exits before the worker queues receive
-            # their shutdown sentinels.
-            with self._batch_cond:
-                self._batch_cond.notify_all()
-            self._dispatcher.join(timeout=timeout)
+        # Wake the dispatcher so it observes _closed, flushes its pending
+        # members, and exits before the worker queues receive their
+        # shutdown sentinels.
+        with self._batch_cond:
+            self._batch_cond.notify_all()
+        self._dispatcher.join(timeout=timeout)
         for task_queue in self._task_queues:
             task_queue.put(None)
         for process in self._processes:
@@ -1104,14 +1021,10 @@ class ProcessWorkerPool:
         with self._lock:
             leftover = list(self._jobs.values())
             self._jobs.clear()
-            retired = list(self._retired.values())
-            self._retired.clear()
         for job in leftover:  # unblock callers whose results never arrived
             job.status = "error"
             job.payload = ("RuntimeError('worker pool closed')", "")
             job.event.set()
-        for shared in retired:
-            shared.unlink()
 
     def __enter__(self) -> "ProcessWorkerPool":
         return self
@@ -1132,7 +1045,6 @@ class ProcessWorkerPool:
                 stale_retries=self._stale_retries,
                 respawns=self._respawns,
                 inflight=len(self._jobs),
-                retired_segments=len(self._retired),
                 deadline_abandons=self._deadline_abandons,
                 respawns_suppressed=self._respawns_suppressed,
                 batches=self._batches,

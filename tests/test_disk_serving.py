@@ -114,9 +114,9 @@ class TestEngineParity:
         ) as cold:
             live.pin()
             state = cold.pin()
-            # The pinned publication is the file itself, not an shm segment.
-            assert state.shared is not None
-            assert state.shared.segment.startswith("file://")
+            # The pinned header is the file itself, not an shm segment.
+            assert state.header is not None
+            assert state.header.segment.startswith("file://")
             for query in QUERIES:
                 assert fingerprint(cold.search(query)) == fingerprint(
                     live.search(query)

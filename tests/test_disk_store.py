@@ -215,18 +215,6 @@ class TestHeaderPickling:
         assert clone == header
         assert isinstance(clone, DiskSnapshotHeader)
 
-    def test_publication_is_a_noop_unlink(self, tmp_path):
-        graph = sample_graph()
-        path = tmp_path / "g.snap"
-        save_graph_snapshot(graph, path)
-        with open_snapshot(path) as snap:
-            publication = snap.publication()
-            publication.unlink()
-            publication.close()
-        assert path.exists()  # retirement never deletes data
-        assert publication.version == graph.version
-        assert publication.segment == snap.header.segment
-
 
 class TestShmLayoutParity:
     def test_disk_and_shm_serve_identical_bytes(self, tmp_path):

@@ -63,13 +63,7 @@ class TestProcessWorkerPool:
             assert result.query == (1, 2)
             assert result.results
         finally:
-            pool.retire(shared)
-
-    def test_retire_unlinks_idle_segment_immediately(self, pool):
-        shared = publish_graph(figure1_graph())
-        assert f"/dev/shm/{shared.segment}" in _segments()
-        pool.retire(shared)
-        assert f"/dev/shm/{shared.segment}" not in _segments()
+            shared.unlink()
 
     def test_stale_segment_surfaces_as_retriable_error(self, pool):
         shared = publish_graph(figure1_graph())
@@ -99,7 +93,7 @@ class TestProcessWorkerPool:
                     config=_config(),
                 )
         finally:
-            pool.retire(shared)
+            shared.unlink()
 
     def test_stats_counters(self, pool):
         stats = pool.stats()
@@ -148,12 +142,12 @@ class TestWorkerCrash:
             assert stats.alive == 1
             assert stats.inflight == 0  # crashed job gave its slot back
         finally:
-            pool.retire(shared)
+            shared.unlink()
             pool.close()
 
-    def test_sigkill_mid_job_recovers_slot_and_refcount(self, monkeypatch):
+    def test_sigkill_mid_job_recovers_slot(self, monkeypatch):
         """SIGKILL a worker while it is computing: the watchdog abandons
-        the job, recovers the segment refcount, and replaces the worker."""
+        the job, frees its slot, and replaces the worker."""
         # The first task stalls for 30s inside the worker (worker.slow is
         # read from the env at spawn), guaranteeing the SIGKILL lands
         # mid-job; the variable is cleared before the respawn so the
@@ -195,10 +189,7 @@ class TestWorkerCrash:
             )
             assert result.query == (1, 2)
         finally:
-            # The abandoned job's refcount was recovered: retire unlinks
-            # the segment immediately instead of parking it forever.
-            pool.retire(shared)
-            assert f"/dev/shm/{shared.segment}" not in _segments()
+            shared.unlink()
             pool.close()
 
     def test_respawn_rate_limit_then_revive(self):
@@ -243,7 +234,7 @@ class TestWorkerCrash:
             assert pool.stats().alive == 1
             assert run_once().query == (1, 2)
         finally:
-            pool.retire(shared)
+            shared.unlink()
             pool.close()
 
     def test_revive_on_closed_pool_is_a_noop(self):
@@ -271,7 +262,7 @@ class TestPoolDeadlines:
             assert stats.dispatched == dispatched_before  # never enqueued
             assert stats.deadline_abandons == 1
         finally:
-            pool.retire(shared)
+            shared.unlink()
 
     def test_generous_deadline_does_not_interfere(self, pool):
         shared = publish_graph(figure1_graph())
@@ -287,7 +278,7 @@ class TestPoolDeadlines:
             )
             assert result.query == (1, 2)
         finally:
-            pool.retire(shared)
+            shared.unlink()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -360,6 +351,60 @@ class TestDispatcherDrain:
             shared.unlink()
 
 
+class TestOneDispatchPath:
+    """Every task reaches a worker through the dispatcher thread."""
+
+    def test_default_pool_dispatches_each_run_as_a_batch_of_one(self):
+        shared = publish_graph(figure1_graph())
+        runs = 3
+        try:
+            with ProcessWorkerPool(1) as pool:
+                for _ in range(runs):
+                    result = pool.run(
+                        header=shared.header,
+                        query_ids=(1, 2),
+                        context_size=3,
+                        alpha=0.05,
+                        rng_seed=123,
+                        config=_config(),
+                    )
+                    assert result.query == (1, 2)
+                stats = pool.stats()
+            assert stats.batches == stats.batched_members == runs
+            assert stats.completed == runs
+        finally:
+            shared.unlink()
+
+    @pytest.mark.parametrize("max_batch", [1, 4])
+    def test_unpicklable_task_fails_alone_at_any_batch_width(self, max_batch):
+        """A task that cannot be pickled onto a worker queue surfaces as
+        ``RemoteQueryError`` and frees its slot, whatever ``max_batch``."""
+        shared = publish_graph(figure1_graph())
+        unpicklable = WorkerConfig(
+            damping=0.8,
+            iterations=10,
+            excluded_labels=None,
+            include_inverse_labels=False,
+            none_bucket=True,
+            discriminator_params=(("hook", lambda: None),),
+        )
+        task = dict(
+            header=shared.header,
+            query_ids=(1, 2),
+            context_size=3,
+            alpha=0.05,
+            rng_seed=123,
+        )
+        try:
+            with ProcessWorkerPool(1, max_batch=max_batch) as pool:
+                with pytest.raises(RemoteQueryError):
+                    pool.run(config=unpicklable, **task)
+                assert pool.stats().inflight == 0
+                assert pool.run(config=_config(), **task).query == (1, 2)
+        finally:
+            shared.unlink()
+
+
 class TestProcessEngine:
     @pytest.fixture()
     def graph(self):
@@ -410,7 +455,7 @@ class TestProcessEngine:
 
             # -- swap onto a newer snapshot: the frozen copy's segment is
             # unlinked once its version drains (no request references it) --
-            first_segment = engine.pin().shared.segment
+            first_segment = engine.pin().header.segment
             assert f"/dev/shm/{first_segment}" in _segments()
             graph.add_edge(
                 graph.add_node("New_Entity"), "type", graph.add_node("new_type")
@@ -419,7 +464,7 @@ class TestProcessEngine:
             assert engine.swap_snapshot(tmp_path / "v2.snap").swapped
             fresh = engine.search(QUERY)
             assert fresh is not outcome.result  # old version's cache purged
-            assert engine.pin().shared.segment.startswith("file://")
+            assert engine.pin().header.segment.startswith("file://")
             assert f"/dev/shm/{first_segment}" not in _segments()
         # -- engine close unlinks everything it published ------------------
         assert _segments() <= before

@@ -307,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("thread", "process"),
         help="computation backend: 'thread' (default; cached traffic at "
         "memory speed, distinct queries GIL-bound) or 'process' "
-        "(shared-memory worker processes; distinct-query throughput "
-        "scales with cores)",
+        "(worker processes that mmap the snapshot file; distinct-query "
+        "throughput scales with cores)",
     )
     serve.add_argument(
         "--batch-window-ms",
@@ -742,10 +742,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     # Graceful shutdown: SIGTERM (the orchestrator's stop signal) and
     # SIGINT both stop accepting connections, drain in-flight requests
-    # bounded by --drain-timeout, then close the pool and unlink shm
-    # segments. serve_forever() must be shut down from another thread:
-    # the handler runs *inside* its poll loop, and a same-thread
-    # shutdown() would deadlock waiting for the loop to acknowledge.
+    # bounded by --drain-timeout, then close the pool and unlink the
+    # frozen snapshot file. serve_forever() must be shut down from
+    # another thread: the handler runs *inside* its poll loop, and a
+    # same-thread shutdown() would deadlock waiting for the loop to
+    # acknowledge.
     stopping = threading.Event()
 
     def _request_stop(signum: int, _frame: object) -> None:

@@ -140,9 +140,8 @@ class RandomWalkContext(ContextSelector):
     def warm_from(self, transition) -> "RandomWalkContext":
         """Freeze a transition matrix somebody else already built.
 
-        Used by process workers (the CSR triple arrives through the shared
-        segment) and by snapshot-file serving (the triple is persisted in
-        the file): adopting skips the per-worker/per-boot
+        Used by process workers and by snapshot-file serving (the CSR
+        triple is persisted in the file): adopting skips the per-worker/per-boot
         ``weighted_adjacency`` rebuild entirely. Requires ``pin=True``.
         """
         self._pagerank.adopt_transition(transition)

@@ -1,11 +1,9 @@
 """Persistence substrate: the memory-mapped snapshot store + bulk ingest.
 
-The third transport for compiled graph snapshots. PR 1 compiled the
-in-process columnar :class:`~repro.graph.compiled.CompiledGraph`; PR 3
-published it over :mod:`multiprocessing.shared_memory` for worker
-processes; this package puts the same block layout in a **single
-immutable file**, so serving cold-starts by mapping pages instead of
-parsing dumps:
+The one transport for compiled graph snapshots: this package puts the
+columnar :class:`~repro.graph.compiled.CompiledGraph` block layout in a
+**single immutable file**, so serving cold-starts by mapping pages
+instead of parsing dumps, and every worker process maps the same file:
 
 * :func:`save_snapshot` / :func:`save_graph_snapshot` — write one graph
   version (eight snapshot arrays + name tables + optionally the frozen

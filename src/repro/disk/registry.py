@@ -71,6 +71,7 @@ from repro.disk.store import (
     MAGIC,
     DiskSnapshot,
     open_snapshot,
+    open_snapshot_view,
     save_snapshot,
 )
 from repro.graph.compiled import CompiledGraph
@@ -309,12 +310,10 @@ class SnapshotRegistry:
         """An mmapped :class:`~repro.parallel.shm.SnapshotGraphView` of
         ``version`` (default: the latest) — the object the engine serves
         or swaps onto."""
-        from repro.parallel.shm import SnapshotGraphView
-
         entry = self.latest() if version is None else self.entry_for(version)
         if entry is None:
             raise RegistryError(f"registry at {self.directory} is empty")
-        return SnapshotGraphView(open_snapshot(entry.path))
+        return open_snapshot_view(entry.path)
 
     # -- publishing --------------------------------------------------------
 

@@ -5,10 +5,10 @@ One compiled graph version persists as one file::
     [ magic "RPROSNAP" | u32 format version | u32 header length
       | header JSON | padding to 8 | data region ]
 
-The data region holds the same blocks :mod:`repro.parallel.shm` publishes
-over shared memory — the eight :data:`~repro.graph.compiled.ARRAY_FIELDS`
-arrays, the UTF-8-packed node/label name tables, and (optionally) the
-frozen PPR transition matrix's CSR triple
+The data region holds the :func:`~repro.parallel.shm.snapshot_blocks`
+layout — the eight :data:`~repro.graph.compiled.ARRAY_FIELDS` arrays,
+the UTF-8-packed node/label name tables, and (optionally) the frozen
+PPR transition matrix's CSR triple
 (:data:`~repro.parallel.shm.TRANSITION_FIELDS`) — every block 8-byte
 aligned, described by the JSON header (name → offset/length/dtype,
 offsets relative to the data region so the header's own length never
@@ -21,17 +21,18 @@ over the mapping, a lazy :class:`~repro.parallel.shm.SharedNameTable`
 over the name blobs — so a cold start costs one ``open`` + one ``mmap``
 instead of parsing a dump and recompiling: pages fault in on first
 touch, and the page cache shares them across every process serving the
-same file. :class:`DiskSnapshot` exposes the same attach surface as the
-shm :class:`~repro.parallel.shm.AttachedSnapshot`, which is what lets
+same file. :class:`DiskSnapshot` is the attach surface that
 :class:`~repro.parallel.shm.SnapshotGraphView` (and therefore the whole
-FindNC pipeline, thread and process backends alike) run straight off
-disk with no :class:`~repro.graph.model.KnowledgeGraph` in memory.
+FindNC pipeline, thread and process backends alike) reads, so serving
+runs straight off the file with no
+:class:`~repro.graph.model.KnowledgeGraph` in memory.
 
 Lifecycle: snapshot files are immutable once written (the writer goes
 through a temp file + atomic rename, so readers never observe a torn
-file). There is nothing to unlink: process workers open a served file
-by the path in its :class:`DiskSnapshotHeader`, and the file outlives
-every server.
+file). Process workers open a served file by the path in its
+:class:`DiskSnapshotHeader`. Closing a :class:`DiskSnapshot` unlinks
+nothing, except the tmpfs copy that
+:func:`~repro.parallel.shm.freeze_graph` made and owns.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -75,15 +77,39 @@ class SnapshotFormatError(ReproError):
     """The file is not a valid snapshot (bad magic, version, or layout)."""
 
 
+def _read_header(path: str) -> "tuple[int, dict]":
+    """Check ``path``'s preamble and parse its JSON header.
+
+    Returns ``(header_length, meta)``. Raises :class:`SnapshotFormatError`
+    on a file too short for the preamble, bad magic, another format
+    version, or an undecodable header.
+    """
+    with open(path, "rb") as handle:
+        preamble = handle.read(_PREAMBLE.size)
+        if len(preamble) < _PREAMBLE.size:
+            raise SnapshotFormatError(f"{path}: file too short for a snapshot")
+        magic, format_version, header_length = _PREAMBLE.unpack(preamble)
+        if magic != MAGIC:
+            raise SnapshotFormatError(f"{path}: not a snapshot file (bad magic)")
+        if format_version != FORMAT_VERSION:
+            raise SnapshotFormatError(
+                f"{path}: unsupported snapshot format version {format_version} "
+                f"(this build reads version {FORMAT_VERSION})"
+            )
+        try:
+            meta = json.loads(handle.read(header_length).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            raise SnapshotFormatError(f"{path}: corrupt snapshot header") from error
+    return header_length, meta
+
+
 @dataclass(frozen=True)
 class DiskSnapshotHeader:
     """The picklable identity of one snapshot file.
 
-    The disk twin of :class:`~repro.parallel.shm.SharedSnapshotHeader`:
-    everything a worker process needs to reattach — here just the *path*
-    (the block table lives in the file itself and is re-read on open) and
-    the scalar metadata. Shipped with every process-backend task when the
-    engine serves a disk snapshot.
+    Everything a worker process needs to reattach: the *path* (the block
+    table lives in the file itself and is re-read on open) and the scalar
+    metadata. Shipped with every process-backend task.
     """
 
     path: str
@@ -91,11 +117,6 @@ class DiskSnapshotHeader:
     version: int
     node_count: int
     label_count: int
-
-    @property
-    def segment(self) -> str:
-        """A stable rendezvous key, name-compatible with shm segments."""
-        return f"file://{self.path}"
 
 
 def save_snapshot(
@@ -110,9 +131,7 @@ def save_snapshot(
     """Write one compiled snapshot (plus name tables) to ``path``.
 
     The data region holds the :func:`~repro.parallel.shm.snapshot_blocks`
-    layout that :func:`~repro.parallel.shm.publish_snapshot` exports to
-    shared memory, so a file round-trip is byte-identical to an shm
-    round-trip. ``node_names`` / ``label_names`` are sliced to the
+    layout. ``node_names`` / ``label_names`` are sliced to the
     snapshot's counts; ``transition`` (optional scipy CSR) persists the
     frozen PPR transition so a cold-started server adopts it instead of
     rebuilding ``weighted_adjacency``.
@@ -191,31 +210,21 @@ def save_graph_snapshot(
 class DiskSnapshot:
     """A memory-mapped, read-only reconstruction of a snapshot file.
 
-    The disk twin of :class:`~repro.parallel.shm.AttachedSnapshot`, with
-    the identical attach surface (``header`` / ``compiled`` /
-    ``node_names`` / ``label_table`` / ``transition()`` / ``close()``),
-    so :class:`~repro.parallel.shm.SnapshotGraphView` and the worker loop
-    treat both transports interchangeably.
+    The attach surface (``header`` / ``compiled`` / ``node_names`` /
+    ``label_table`` / ``transition()`` / ``close()``) that
+    :class:`~repro.parallel.shm.SnapshotGraphView` and the worker loop
+    read.
     """
+
+    #: Set only by :func:`~repro.parallel.shm.freeze_graph`, on the one
+    #: reader of the tmpfs copy it wrote: the finalizer that unlinks that
+    #: file, run once by :meth:`close`, by garbage collection or at
+    #: interpreter exit. Every other file outlives its readers.
+    _unlink_file: "weakref.finalize | None" = None
 
     def __init__(self, path: "str | os.PathLike[str]") -> None:
         path = os.path.abspath(os.fspath(path))
-        with open(path, "rb") as handle:
-            preamble = handle.read(_PREAMBLE.size)
-            if len(preamble) < _PREAMBLE.size:
-                raise SnapshotFormatError(f"{path}: file too short for a snapshot")
-            magic, format_version, header_length = _PREAMBLE.unpack(preamble)
-            if magic != MAGIC:
-                raise SnapshotFormatError(f"{path}: not a snapshot file (bad magic)")
-            if format_version != FORMAT_VERSION:
-                raise SnapshotFormatError(
-                    f"{path}: unsupported snapshot format version {format_version} "
-                    f"(this build reads version {FORMAT_VERSION})"
-                )
-            try:
-                meta = json.loads(handle.read(header_length).decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise SnapshotFormatError(f"{path}: corrupt snapshot header") from error
+        header_length, meta = _read_header(path)
         data_start = _aligned(_PREAMBLE.size + header_length)
         expected = data_start + meta["data_bytes"]
         actual = os.path.getsize(path)
@@ -252,8 +261,8 @@ class DiskSnapshot:
         self.node_names = SharedNameTable(
             self._view("node_name_offsets"), self._view("node_name_blob")
         )
-        # Label vocabularies are small; decode eagerly into a real
-        # LabelTable, exactly as the shm attach does.
+        # Label vocabularies are small; decode them eagerly into a real
+        # LabelTable so lookup()/name() behave exactly like the live graph.
         label_names = SharedNameTable(
             self._view("label_name_offsets"), self._view("label_name_blob")
         )
@@ -295,10 +304,11 @@ class DiskSnapshot:
         return self._transition
 
     def close(self) -> None:
-        """Drop every view and release the mapping.
+        """Drop this reader's views and mapping; unlink an owned file.
 
         Callers must not touch :attr:`compiled` / :attr:`node_names`
-        afterwards (same contract as the shm attach).
+        afterwards. Arrays they took earlier stay valid: each holds the
+        mapping open, which also outlives the unlink of an owned file.
         """
         if self._mm is None:
             return
@@ -307,6 +317,8 @@ class DiskSnapshot:
         self.node_names.release()
         self.node_names = None  # type: ignore[assignment]
         self._mm = None
+        if self._unlink_file is not None:
+            self._unlink_file()
 
     def __enter__(self) -> "DiskSnapshot":
         return self
@@ -337,22 +349,7 @@ def inspect_snapshot(path: "str | os.PathLike[str]") -> dict:
     (one ``open`` + the header bytes; blocks are only *described*).
     """
     path = os.path.abspath(os.fspath(path))
-    with open(path, "rb") as handle:
-        preamble = handle.read(_PREAMBLE.size)
-        if len(preamble) < _PREAMBLE.size:
-            raise SnapshotFormatError(f"{path}: file too short for a snapshot")
-        magic, format_version, header_length = _PREAMBLE.unpack(preamble)
-        if magic != MAGIC:
-            raise SnapshotFormatError(f"{path}: not a snapshot file (bad magic)")
-        if format_version != FORMAT_VERSION:
-            raise SnapshotFormatError(
-                f"{path}: unsupported snapshot format version {format_version} "
-                f"(this build reads version {FORMAT_VERSION})"
-            )
-        try:
-            meta = json.loads(handle.read(header_length).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise SnapshotFormatError(f"{path}: corrupt snapshot header") from error
+    _, meta = _read_header(path)
     specs = dict(meta["blocks"])
 
     def _block_bytes(name: str) -> int:
@@ -361,7 +358,7 @@ def inspect_snapshot(path: "str | os.PathLike[str]") -> dict:
 
     return {
         "path": path,
-        "format_version": format_version,
+        "format_version": FORMAT_VERSION,
         "graph_name": meta["graph_name"],
         "version": meta["version"],
         "nodes": meta["node_count"],

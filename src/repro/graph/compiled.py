@@ -50,8 +50,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (model imports us laz
 
 #: The snapshot's flat array fields in canonical order, with their dtypes.
 #: This is the serialization contract of the snapshot layer: the
-#: shared-memory exporter (:mod:`repro.parallel.shm`) lays the arrays out
-#: in exactly this order, and :meth:`CompiledGraph.from_arrays`
+#: snapshot file layout (:func:`repro.parallel.shm.snapshot_blocks`) lays
+#: the arrays out in exactly this order, and :meth:`CompiledGraph.from_arrays`
 #: reconstructs a snapshot from any buffers that honour it.
 ARRAY_FIELDS: "tuple[tuple[str, np.dtype], ...]" = (
     ("indptr", np.dtype(np.int64)),
@@ -120,8 +120,8 @@ class CompiledGraph:
         consistent shape (``indptr`` of length ``node_count + 1``,
         ``label_indptr`` of length ``label_count + 1``, the four edge
         columns all equally long). The buffers may view foreign memory —
-        e.g. a :mod:`multiprocessing.shared_memory` segment — and are
-        marked read-only in place, preserving zero-copy attachment.
+        e.g. an mmapped snapshot file — and are marked read-only in
+        place, preserving zero-copy attachment.
         """
         views: dict[str, np.ndarray] = {}
         edge_total: int | None = None

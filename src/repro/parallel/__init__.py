@@ -1,38 +1,24 @@
-"""Multiprocess execution substrate: shared-memory graph snapshots.
+"""Frozen graph snapshots for the multiprocess execution substrate.
 
 The GIL caps thread-based serving of *distinct* queries at roughly one
 core's worth of work; scaling with cores means processes, and processes
 mean a serialization boundary. This package keeps that boundary cheap:
 the compiled columnar snapshot (:class:`~repro.graph.compiled.CompiledGraph`)
 is already a handful of flat numpy arrays, so one graph version is
-published **once** into a named :mod:`multiprocessing.shared_memory`
-segment (:func:`publish_snapshot`) and every worker process attaches a
-zero-copy, read-only view (:func:`attach_snapshot`) — no per-request
-pickling of the graph, no per-worker copy of the adjacency.
+written **once** as a snapshot file and every worker process mmaps a
+zero-copy, read-only view of it — no per-request pickling of the graph,
+no per-worker copy of the adjacency.
 
-:class:`SnapshotGraphView` wraps an attached snapshot in the reader
+:class:`SnapshotGraphView` wraps an opened snapshot in the reader
 surface of :class:`~repro.graph.model.KnowledgeGraph`, which is what lets
-the unchanged ``FindNC`` pipeline run inside a worker against shared
-memory; :func:`freeze_graph` publishes a live graph and returns such a
-view over it, which is how the query engine serves a graph. The worker pool that drives this lives in
-:mod:`repro.service.workers`; the segment lifecycle contract is
+the unchanged ``FindNC`` pipeline run inside a worker against the
+mapping; :func:`freeze_graph` writes a live graph to a tmpfs snapshot
+file and returns such a view over it, which is how the query engine
+serves a graph. The worker pool that drives this lives in
+:mod:`repro.service.workers`; the snapshot lifecycle contract is
 documented in ``docs/ARCHITECTURE.md``.
 """
 
-from repro.parallel.shm import (
-    SharedSnapshot,
-    SharedSnapshotHeader,
-    SnapshotGraphView,
-    attach_snapshot,
-    freeze_graph,
-    publish_snapshot,
-)
+from repro.parallel.shm import SnapshotGraphView, freeze_graph
 
-__all__ = [
-    "SharedSnapshot",
-    "SharedSnapshotHeader",
-    "SnapshotGraphView",
-    "attach_snapshot",
-    "freeze_graph",
-    "publish_snapshot",
-]
+__all__ = ["SnapshotGraphView", "freeze_graph"]

@@ -1,7 +1,7 @@
-"""Zero-copy publication of compiled graph snapshots over shared memory.
+"""Frozen graph snapshots: the block layout and the graph reader view.
 
-One :class:`~repro.graph.compiled.CompiledGraph` version is exported into
-a **single** named shared-memory segment laid out as::
+One :class:`~repro.graph.compiled.CompiledGraph` version is laid out as
+one sequence of blocks (:func:`snapshot_blocks`)::
 
     [ indptr | sources | label_ids | targets | label_indptr | label_order
       | label_weights | out_weight | node-name offsets | node-name blob
@@ -10,13 +10,12 @@ a **single** named shared-memory segment laid out as::
 
 with every block 8-byte aligned. The optional trailing blocks carry the
 frozen Equation-2 PPR transition matrix (:data:`TRANSITION_FIELDS`), so
-workers adopt the publisher's matrix instead of each rebuilding
-``weighted_adjacency``; the disk snapshot store (:mod:`repro.disk`)
-writes the same layout (:func:`snapshot_blocks`) to a file. The layout
-is described by a small picklable :class:`SharedSnapshotHeader` (segment
-name, scalar metadata, per-block offsets/shapes) — the *only* thing that
-crosses the process boundary per publication; requests then reference
-the header and workers attach at most once per graph version.
+readers adopt the writer's matrix instead of each rebuilding
+``weighted_adjacency``. The snapshot store (:mod:`repro.disk.store`)
+writes this layout into a file's data region, and every reader maps that
+file: a process worker opens it by the path in its
+:class:`~repro.disk.store.DiskSnapshotHeader`, at most once per graph
+version.
 
 Name tables travel as UTF-8 blobs plus ``int64`` offset arrays. Node
 names are decoded lazily (:class:`SharedNameTable`) because the pipeline
@@ -24,37 +23,34 @@ only ever touches the few hundred names that appear as instance values;
 edge-label names are few and decode eagerly into a
 :class:`~repro.graph.labels.LabelTable`.
 
-Lifecycle contract:
+:class:`SnapshotGraphView` wraps an opened snapshot in the reader
+surface of :class:`~repro.graph.model.KnowledgeGraph`.
+:func:`freeze_graph` turns a live graph into such a view: it writes the
+graph's current version to a fresh snapshot file on tmpfs and returns
+the view over it, which owns the file and unlinks it on close.
 
-* the **publisher** owns the segment and unlinks it exactly once. The
-  engine publishes through :func:`freeze_graph`, whose view owns the
-  segment: closing the view (when its version drains, or when the
-  engine closes) unlinks it;
-* **attachers** only ever :meth:`AttachedSnapshot.close` — they must
-  never unlink. Attaching deregisters the segment from this process's
-  ``resource_tracker`` so a worker exiting does not tear the segment
-  down under the publisher (CPython < 3.13 tracks attached segments too;
-  3.13+ exposes ``track=False`` for the same effect).
-
-POSIX keeps an unlinked segment alive until the last map closes, so a
-worker holding an old version's mapping finishes its request safely even
-after the publisher unlinks; only *new* attaches fail, which the pool
-surfaces as :class:`StaleSnapshotError` and the engine answers by
-re-dispatching against the current version.
+Lifecycle contract: a snapshot file is immutable. Closing a view opened
+from a file (:func:`~repro.disk.store.open_snapshot_view`, a registry)
+releases this process's reference only; closing a :func:`freeze_graph`
+view also unlinks its file. A mapping outlives the unlink, so a worker
+still holding an old version finishes its request safely; only *new*
+opens fail, which the pool surfaces as :class:`StaleSnapshotError` and
+the engine answers by re-dispatching against the current version.
 """
 
 from __future__ import annotations
 
-import secrets
-import threading
+import contextlib
+import os
+import tempfile
+import weakref
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import NodeNotFoundError
-from repro.graph.compiled import ARRAY_FIELDS, CompiledGraph
+from repro.graph.compiled import CompiledGraph
 from repro.graph.labels import LabelTable
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -64,7 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 
 class StaleSnapshotError(RuntimeError):
-    """Attaching failed because the publisher already unlinked the segment."""
+    """Opening failed because the snapshot file was already unlinked."""
 
 
 def _aligned(offset: int, alignment: int = 8) -> int:
@@ -74,22 +70,16 @@ def _aligned(offset: int, alignment: int = 8) -> int:
 
 @dataclass(frozen=True)
 class _BlockSpec:
-    """One array block inside the segment: where it is and what it holds."""
+    """One array block of the layout: where it is and what it holds."""
 
     offset: int
     length: int  # element count, not bytes
     dtype: str   # numpy dtype string, e.g. "int64" / "uint8"
 
-    @property
-    def nbytes(self) -> int:
-        """Block size in bytes."""
-        return self.length * np.dtype(self.dtype).itemsize
-
 
 #: Block names of a packed frozen transition matrix (CSR triple), in
-#: canonical order. Shared by the shm segment and the disk snapshot store
-#: (:mod:`repro.disk`): both publish the same three arrays so consumers
-#: rebuild ``scipy.sparse.csr_matrix((data, indices, indptr))`` zero-copy.
+#: canonical order. Readers of a snapshot file rebuild
+#: ``scipy.sparse.csr_matrix((data, indices, indptr))`` from them zero-copy.
 TRANSITION_FIELDS: "tuple[str, ...]" = (
     "transition_data",
     "transition_indices",
@@ -102,43 +92,16 @@ def build_transition_csr(
 ):
     """Rebuild the frozen transition matrix from its shared CSR triple.
 
-    The attach half of transition sharing: the arrays may view foreign
-    memory (an shm segment or an mmapped snapshot file); scipy wraps them
-    without copying. Import is local so :mod:`repro.parallel.shm` keeps
-    working where scipy is absent until a transition is actually used.
+    The attach half of transition sharing: the arrays view an mmapped
+    snapshot file; scipy wraps them without copying. Import is local so
+    :mod:`repro.parallel.shm` keeps working where scipy is absent until a
+    transition is actually used.
     """
     from scipy import sparse
 
     return sparse.csr_matrix(
         (data, indices, indptr), shape=(node_count, node_count), copy=False
     )
-
-
-@dataclass(frozen=True)
-class SharedSnapshotHeader:
-    """The picklable description of one published snapshot segment.
-
-    Everything a worker needs to reconstruct the snapshot: the segment
-    *name* (the shared-memory rendezvous), the three snapshot scalars,
-    and the block table. Headers are tiny (a few hundred bytes pickled)
-    and safe to ship with every request. ``transition`` is the optional
-    block table of the pinned PPR transition matrix's CSR triple
-    (:data:`TRANSITION_FIELDS`); when present, workers adopt the matrix
-    instead of rebuilding it from the adjacency.
-    """
-
-    segment: str
-    graph_name: str
-    version: int
-    node_count: int
-    label_count: int
-    arrays: "tuple[tuple[str, _BlockSpec], ...]"
-    node_name_offsets: _BlockSpec
-    node_name_blob: _BlockSpec
-    label_name_offsets: _BlockSpec
-    label_name_blob: _BlockSpec
-    total_bytes: int
-    transition: "tuple[tuple[str, _BlockSpec], ...] | None" = None
 
 
 def _encode_names(names: "Sequence[str]") -> "tuple[np.ndarray, np.ndarray]":
@@ -197,53 +160,6 @@ class SharedNameTable:
         self._blob = np.empty(0, dtype=np.uint8)
 
 
-class SharedSnapshot:
-    """A published snapshot segment, owned by the publishing process."""
-
-    def __init__(self, header: SharedSnapshotHeader, shm: shared_memory.SharedMemory) -> None:
-        self.header = header
-        self._shm: shared_memory.SharedMemory | None = shm
-        self._unlinked = False
-
-    @property
-    def segment(self) -> str:
-        """The shared-memory segment name (the attach rendezvous)."""
-        return self.header.segment
-
-    @property
-    def version(self) -> int:
-        """The graph version this segment holds."""
-        return self.header.version
-
-    @property
-    def nbytes(self) -> int:
-        """Total segment size in bytes."""
-        return self.header.total_bytes
-
-    def unlink(self) -> None:
-        """Remove the segment name and release the publisher's mapping.
-
-        Idempotent. Workers still holding a mapping keep reading safely
-        (POSIX semantics); new attaches fail with
-        :class:`StaleSnapshotError`.
-        """
-        if self._shm is None:
-            return
-        shm, self._shm = self._shm, None
-        if not self._unlinked:
-            self._unlinked = True
-            shm.unlink()
-        shm.close()
-
-    close = unlink  # the publisher's close implies retirement
-
-    def __enter__(self) -> "SharedSnapshot":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.unlink()
-
-
 def _take(names, count: int) -> "list[str]":
     """First ``count`` names as a list; works for lists and lazy tables."""
     try:
@@ -258,16 +174,14 @@ def snapshot_blocks(
     label_names: "Sequence[str]",
     transition=None,
 ) -> "tuple[list[tuple[str, np.ndarray]], dict[str, _BlockSpec], int]":
-    """The block layout both snapshot transports write.
+    """The block layout of a snapshot file's data region.
 
     Returns ``(blocks, specs, data_bytes)``: the ``(name, array)`` pairs
     in layout order (the :data:`~repro.graph.compiled.ARRAY_FIELDS`
     arrays, the packed name tables, then the optional
     :data:`TRANSITION_FIELDS` triple), each block's 8-byte-aligned
     :class:`_BlockSpec`, and the end offset of the last block.
-    :func:`publish_snapshot` lays them out in a shared-memory segment and
-    :func:`repro.disk.store.save_snapshot` in a file's data region, so the
-    two transports hold the same bytes at the same offsets.
+    :func:`repro.disk.store.save_snapshot` writes them at those offsets.
 
     ``node_names`` / ``label_names`` are sliced to the snapshot's
     ``node_count`` / ``label_count``, so a name table that has grown past
@@ -316,257 +230,52 @@ def snapshot_blocks(
     return blocks, specs, offset
 
 
-def publish_snapshot(
-    compiled: CompiledGraph,
-    node_names: "Sequence[str]",
-    label_names: "Sequence[str]",
-    *,
-    graph_name: str = "knowledge-graph",
-    segment_prefix: str = "repro-snap",
-    transition=None,
-) -> SharedSnapshot:
-    """Export one compiled snapshot into a fresh shared-memory segment.
-
-    The segment holds the :func:`snapshot_blocks` layout: names sliced to
-    the snapshot's counts and, when ``transition`` (the pinned PPR
-    transition matrix, scipy CSR) is given, its ``(data, indices,
-    indptr)`` triple, so every worker adopts ONE frozen matrix instead of
-    rebuilding ``weighted_adjacency`` per worker per version.
-
-    Returns the :class:`SharedSnapshot` handle whose
-    :attr:`~SharedSnapshot.header` workers attach with; the caller owns
-    the segment and must eventually :meth:`~SharedSnapshot.unlink` it.
-    """
-    blocks, specs, data_bytes = snapshot_blocks(
-        compiled, node_names, label_names, transition
-    )
-    total = max(data_bytes, 1)  # zero-size segments are not allowed
-
-    segment = f"{segment_prefix}-v{compiled.version}-{secrets.token_hex(4)}"
-    # Creation takes the same lock as the attach-side register patch
-    # (see _attach_segment): on Python < 3.13 an attach happening on
-    # another thread no-ops resource_tracker.register for its duration,
-    # and a create inside that window would silently lose its tracker
-    # registration (defeating the die-without-unlink reclaim).
-    with _attach_lock:
-        shm = shared_memory.SharedMemory(name=segment, create=True, size=total)
-    try:
-        for name, array in blocks:
-            spec = specs[name]
-            if spec.length == 0:
-                continue
-            view = np.ndarray(
-                (spec.length,), dtype=spec.dtype, buffer=shm.buf, offset=spec.offset
-            )
-            view[:] = array
-            del view  # drop the exported-buffer reference before any close()
-    except BaseException:  # pragma: no cover - only on copy failure
-        shm.close()
-        shm.unlink()
-        raise
-
-    header = SharedSnapshotHeader(
-        segment=segment,
-        graph_name=graph_name,
-        version=compiled.version,
-        node_count=compiled.node_count,
-        label_count=compiled.label_count,
-        arrays=tuple((name, specs[name]) for name, _ in ARRAY_FIELDS),
-        node_name_offsets=specs["node_name_offsets"],
-        node_name_blob=specs["node_name_blob"],
-        label_name_offsets=specs["label_name_offsets"],
-        label_name_blob=specs["label_name_blob"],
-        total_bytes=total,
-        transition=(
-            tuple((name, specs[name]) for name in TRANSITION_FIELDS)
-            if transition is not None
-            else None
-        ),
-    )
-    return SharedSnapshot(header, shm)
-
-
-def publish_graph(
-    graph: "KnowledgeGraph", *, segment_prefix: str = "repro-snap"
-) -> SharedSnapshot:
-    """Publish ``graph``'s current compiled snapshot (convenience wrapper).
-
-    The Equation-2 transition matrix is built from the snapshot here and
-    packed into the segment, so attachers adopt it instead of rebuilding.
-    """
-    from repro.graph.matrix import transition_from_snapshot
-
-    compiled = graph.compiled()
-    return publish_snapshot(
-        compiled,
-        graph._node_names_list(),  # noqa: SLF001 - sliced to the snapshot inside
-        [
-            graph._label_table().name(label_id)  # noqa: SLF001
-            for label_id in range(compiled.label_count)
-        ],
-        graph_name=graph.name,
-        segment_prefix=segment_prefix,
-        transition=transition_from_snapshot(compiled),
-    )
+#: Where :func:`freeze_graph` writes its files: tmpfs, so a frozen copy
+#: costs memory pages, never disk I/O.
+_FREEZE_DIR = "/dev/shm"
 
 
 def freeze_graph(graph: "KnowledgeGraph") -> "SnapshotGraphView":
-    """A frozen, shm-backed view of ``graph``'s current version.
+    """A frozen, file-backed view of ``graph``'s current version.
 
-    Publishes the compiled snapshot with its transition matrix
-    (:func:`publish_graph`) and wraps this process's own mapping of the
-    segment in a :class:`SnapshotGraphView`. The view owns the segment:
-    closing it unlinks the segment. Later mutations of ``graph`` do not
-    reach the view, whose version stays the one frozen here.
+    Writes the compiled snapshot with its transition matrix
+    (:func:`~repro.disk.store.save_graph_snapshot`) to a fresh
+    ``repro-snap-v{version}-{token}.snap`` file in ``/dev/shm``, or in
+    :func:`tempfile.gettempdir` where ``/dev/shm`` does not exist, and
+    returns :func:`~repro.disk.store.open_snapshot_view` over it. The view
+    owns the file: closing it unlinks the file, and so does garbage
+    collection or interpreter exit if the view was never closed (a process
+    killed with ``SIGKILL`` leaves it behind). Later mutations of
+    ``graph`` do not reach the view, whose version stays the one frozen
+    here.
     """
-    shared = publish_graph(graph)
-    return SnapshotGraphView(AttachedSnapshot(shared.header, owner=shared))
+    from repro.disk.store import open_snapshot_view, save_graph_snapshot
 
-
-_attach_lock = threading.Lock()
-
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to a named segment without resource-tracker ownership.
-
-    Python < 3.13 registers attached segments with the resource tracker
-    exactly as created ones, but parent and spawned workers share ONE
-    tracker process whose registry is a set — an attacher's entry
-    collapses into the publisher's, and any attach-side unregister (ours
-    or the tracker's exit-time cleanup) would tear down the publisher's
-    bookkeeping. So registration is suppressed during attach; 3.13+ has
-    ``track=False`` for exactly this.
-    """
-    from repro.service import faults  # lazy: service imports this module
-
-    if faults.fire("shm.attach"):
-        raise StaleSnapshotError(
-            f"fault injection: attach of segment {name!r} failed"
-        )
+    directory = _FREEZE_DIR if os.path.isdir(_FREEZE_DIR) else tempfile.gettempdir()
+    handle, path = tempfile.mkstemp(
+        prefix=f"repro-snap-v{graph.version}-", suffix=".snap", dir=directory
+    )
+    os.close(handle)
     try:
-        try:
-            return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
-        except TypeError:
-            with _attach_lock:
-                original = resource_tracker.register
-                resource_tracker.register = lambda *args, **kwargs: None
-                try:
-                    return shared_memory.SharedMemory(name=name)
-                finally:
-                    resource_tracker.register = original
-    except FileNotFoundError as error:
-        raise StaleSnapshotError(
-            f"shared snapshot segment {name!r} is gone (publisher unlinked it)"
-        ) from error
+        save_graph_snapshot(graph, path)
+        view = open_snapshot_view(path)
+    except BaseException:
+        os.unlink(path)
+        raise
+    attached = view._attached  # noqa: SLF001 - only a freeze owns its file
+    attached._unlink_file = weakref.finalize(attached, _remove_file, path)
+    return view
 
 
-class AttachedSnapshot:
-    """A read-only reconstruction of a published snapshot.
-
-    Workers attach a segment someone else published (``owner`` is
-    ``None``; :meth:`close` releases only this process's mapping).
-    :func:`freeze_graph` passes the publisher's own handle as ``owner``:
-    the attachment then reads through the publisher's mapping and
-    :meth:`close` unlinks the segment too.
-    """
-
-    def __init__(
-        self, header: SharedSnapshotHeader, *, owner: "SharedSnapshot | None" = None
-    ) -> None:
-        self.header = header
-        self._owner = owner
-        self._shm: shared_memory.SharedMemory | None = (
-            owner._shm if owner is not None else _attach_segment(header.segment)
-        )
-        arrays = {
-            name: self._view(spec) for name, spec in header.arrays
-        }
-        #: The reconstructed snapshot; arrays view the shared segment.
-        self.compiled = CompiledGraph.from_arrays(
-            version=header.version,
-            node_count=header.node_count,
-            label_count=header.label_count,
-            arrays=arrays,
-        )
-        #: Lazy node-name table (phi of Definition 1).
-        self.node_names = SharedNameTable(
-            self._view(header.node_name_offsets), self._view(header.node_name_blob)
-        )
-        # Label vocabularies are small; decode them eagerly into a real
-        # LabelTable so lookup()/name() behave exactly like the live graph.
-        label_names = SharedNameTable(
-            self._view(header.label_name_offsets), self._view(header.label_name_blob)
-        )
-        self.label_table = LabelTable()
-        for label in label_names:
-            self.label_table.intern(label)
-        label_names.release()
-        self._transition = None
-
-    def transition(self):
-        """The published frozen PPR transition matrix, or ``None``.
-
-        Rebuilt (and memoized) as a scipy CSR over zero-copy views of the
-        segment's :data:`TRANSITION_FIELDS` blocks. ``None`` when the
-        publisher did not share one (workers then rebuild it from the
-        snapshot arrays).
-        """
-        if self._transition is not None:
-            return self._transition
-        if self.header.transition is None:
-            return None
-        views = {name: self._view(spec) for name, spec in self.header.transition}
-        self._transition = build_transition_csr(
-            views["transition_data"],
-            views["transition_indices"],
-            views["transition_indptr"],
-            self.header.node_count,
-        )
-        return self._transition
-
-    def _view(self, spec: _BlockSpec) -> np.ndarray:
-        assert self._shm is not None
-        view = np.ndarray(
-            (spec.length,), dtype=spec.dtype, buffer=self._shm.buf, offset=spec.offset
-        )
-        view.setflags(write=False)
-        return view
-
-    def close(self) -> None:
-        """Release this process's mapping; an owned segment is unlinked.
-
-        Drops every numpy view first, so callers must not use
-        :attr:`compiled` or :attr:`node_names` afterwards: the mapping
-        they view is gone.
-        """
-        if self._shm is None:
-            return
-        self.compiled = None  # type: ignore[assignment]
-        self._transition = None
-        self.node_names.release()
-        self.node_names = None  # type: ignore[assignment]
-        shm, self._shm = self._shm, None
-        if self._owner is not None:
-            self._owner.unlink()  # unlinks the name, closes the one mapping
-        else:
-            shm.close()
-
-    def __enter__(self) -> "AttachedSnapshot":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def attach_snapshot(header: SharedSnapshotHeader) -> AttachedSnapshot:
-    """Attach to a published snapshot; raises :class:`StaleSnapshotError`
-    when the publisher has already unlinked the segment."""
-    return AttachedSnapshot(header)
+def _remove_file(path: str) -> None:
+    """Unlink ``path`` unless it is already gone."""
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
 
 
 class SnapshotGraphView:
     """The reader surface of :class:`~repro.graph.model.KnowledgeGraph`,
-    backed entirely by an attached shared snapshot.
+    backed entirely by an opened snapshot file.
 
     Inside a worker process the ``FindNC`` pipeline needs a "graph", but
     only its *reader* API: id/name resolution, the label table, the
@@ -580,11 +289,10 @@ class SnapshotGraphView:
     snapshot, which makes
     :class:`~repro.walk.pagerank.PersonalizedPageRank` and
     :func:`~repro.core.distributions.build_all_distributions` run
-    unmodified on shared memory.
+    unmodified on the mapped file.
 
-    ``attached`` is anything exposing the attach surface — an shm
-    :class:`AttachedSnapshot` or a :class:`repro.disk.DiskSnapshot`
-    (mmap-backed); the view itself never touches the transport.
+    ``attached`` is a :class:`repro.disk.DiskSnapshot` (mmap-backed);
+    the view itself never touches the file.
     """
 
     #: Marker consumed by :class:`~repro.service.engine.NCEngine`: a
@@ -703,10 +411,9 @@ class SnapshotGraphView:
         )
 
     def close(self) -> None:
-        """Release the underlying attachment (segment mapping or mmap).
+        """Release the underlying snapshot (its mmap; a frozen copy's file).
 
-        The view must not be used afterwards — same contract as closing
-        the attachment directly. Convenience for serving callers that own
-        the view's whole lifecycle (the benchmark, short-lived scripts).
+        The view must not be used afterwards. Arrays taken from it before
+        the close stay readable: the mapping lives as long as they do.
         """
         self._attached.close()

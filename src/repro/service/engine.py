@@ -5,7 +5,7 @@ The engine turns the library pipeline into a servable primitive:
 * **One frozen substrate.** The engine serves a frozen snapshot view:
   ``repro.disk.open_snapshot_view`` over an mmapped snapshot file, a
   :class:`~repro.disk.registry.SnapshotRegistry` view, or — when handed a
-  :class:`KnowledgeGraph` — a shared-memory copy of the graph's current
+  :class:`KnowledgeGraph` — a tmpfs snapshot file of the graph's current
   version that the engine freezes once, at construction
   (:func:`~repro.parallel.shm.freeze_graph`), and unlinks when it closes.
   Later mutations of that graph never reach the engine.
@@ -28,10 +28,9 @@ The engine turns the library pipeline into a servable primitive:
   ~1x per core because the pipeline's Python-level work holds the GIL.
   With ``executor="process"`` the thread pool only *dispatches*: the
   computations execute on a
-  :class:`~repro.service.workers.ProcessWorkerPool` whose workers attach
-  the pinned view's own transport — the shm segment, or the snapshot
-  file by path — and adopt its frozen PPR transition CSR instead of
-  rebuilding it, so distinct-query throughput scales with cores. The
+  :class:`~repro.service.workers.ProcessWorkerPool` whose workers mmap
+  the pinned view's snapshot file by path and adopt its frozen PPR
+  transition CSR instead of rebuilding it, so distinct-query throughput scales with cores. The
   cache, coalescing, name resolution and the HTTP server stay in the
   parent either way.
 * **Multi-version hot swap.** The engine re-pins onto a newly published
@@ -40,7 +39,7 @@ The engine turns the library pipeline into a servable primitive:
   version-keyed cache invalidates by unreachability) and drains the
   old one — every request holds a per-pin in-flight reference, and the
   superseded pin is retired (the old view closed, which unlinks a
-  segment the engine froze) exactly when its last request completes.
+  file the engine froze) exactly when its last request completes.
   This per-pin drain is the only one: process workers attach the
   version by header and never own it. ``repro serve --snapshot-dir`` plus
   ``POST /v1/admin/reload`` drive this from a
@@ -68,7 +67,6 @@ from collections.abc import Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.context import RandomWalkContext
 from repro.core.findnc import FindNCResult
@@ -76,7 +74,8 @@ from repro.errors import DeadlineExceededError, EngineSaturatedError, QueryError
 from repro.graph.compiled import CompiledGraph
 from repro.graph.model import KnowledgeGraph, NodeRef
 from repro.graph.search import EntityIndex, resolve_node_refs
-from repro.parallel.shm import SharedSnapshotHeader, StaleSnapshotError, freeze_graph
+from repro.disk.store import DiskSnapshotHeader
+from repro.parallel.shm import StaleSnapshotError, freeze_graph
 from repro.service import faults
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.metrics import ServiceMetrics
@@ -88,9 +87,6 @@ from repro.service.workers import (
     WorkerTask,
     execute_batch,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.disk.store import DiskSnapshotHeader
 
 
 class CircuitBreaker:
@@ -217,8 +213,8 @@ class EngineConfig:
         pool then only dispatches, one thread per in-flight request).
     executor:
         ``"thread"`` (default) computes on the executor threads;
-        ``"process"`` computes on a shared-memory worker-process pool —
-        the backend that scales *distinct*-query throughput with cores
+        ``"process"`` computes on a worker-process pool that maps the
+        snapshot file — the backend that scales *distinct*-query throughput with cores
         (see :mod:`repro.service.workers`).
     seed:
         Base seed mixed into the per-request deterministic RNG derivation.
@@ -235,7 +231,7 @@ class EngineConfig:
     retries:
         Per-request retry budget for retriable backend failures
         (:class:`~repro.service.workers.WorkerCrashError`, stale
-        segments) in process mode; compute is pure, so re-dispatch is
+        snapshot files) in process mode; compute is pure, so re-dispatch is
         always safe. Crash retries back off exponentially from
         ``retry_backoff`` seconds with ±50% jitter.
     breaker_threshold / breaker_reset_s:
@@ -463,8 +459,8 @@ class _PinnedState:
     resolve and labels read against it, never against the engine's
     current graph, so a request in flight across a hot swap answers
     wholly from its own version. ``header`` is the view's picklable
-    transport description (an shm segment or a snapshot file path),
-    which process workers attach the snapshot from. ``lifecycle`` is the
+    snapshot-file description, which process workers open the snapshot
+    from by path. ``lifecycle`` is the
     pin's mutable drain bookkeeping (see :class:`_PinLifecycle`), the one
     drain that decides when the view may be closed.
     """
@@ -473,7 +469,7 @@ class _PinnedState:
     snapshot: CompiledGraph
     selector: RandomWalkContext
     entity_index: EntityIndex
-    header: "SharedSnapshotHeader | DiskSnapshotHeader"
+    header: DiskSnapshotHeader
     lifecycle: _PinLifecycle = field(default_factory=_PinLifecycle)
 
 
@@ -519,7 +515,7 @@ class EngineStats:
     draining_versions: "tuple[int, ...]" = ()
     #: Requests whose deadline expired (504s).
     timeouts: int = 0
-    #: Backend dispatches retried after a crash or stale segment.
+    #: Backend dispatches retried after a crash or stale snapshot file.
     retries: int = 0
     #: Requests shed by admission control (503s).
     shed: int = 0
@@ -570,7 +566,7 @@ class NCEngine:
 
     ``graph`` is a frozen snapshot view (``repro.disk.open_snapshot_view``,
     ``SnapshotRegistry.open_view``) or a :class:`KnowledgeGraph`, which
-    the engine freezes once, here, into a shared-memory view it owns
+    the engine freezes once, here, into a tmpfs snapshot view it owns
     (:func:`~repro.parallel.shm.freeze_graph`) and closes with the
     engine. Later mutations of that graph do not reach the engine; serve
     a newer version with :meth:`swap_snapshot`.
@@ -706,8 +702,8 @@ class NCEngine:
         """Shut the executor down (in-flight requests finish first).
 
         In process mode this also stops the worker pool. A view the
-        engine froze from a live graph is closed, which unlinks its
-        shared-memory segment, whether or not it was ever pinned.
+        engine froze from a live graph is closed, which unlinks its tmpfs
+        snapshot file, whether or not it was ever pinned.
         """
         self._closed = True
         self._executor.shutdown(wait=True)
@@ -783,11 +779,11 @@ class NCEngine:
     def _build_pin(self, graph: KnowledgeGraph) -> _PinnedState:
         """The pin over one frozen view (no writers, ever).
 
-        The snapshot is already compiled (the view *is* the shm segment
-        or mmapped file), and when it carries the frozen PPR transition
-        CSR the selector adopts it, so pinning costs an entity-index
-        build and little else. Process workers attach the view's own
-        transport by its header: the segment, or the file by path.
+        The snapshot is already compiled (the view *is* the mmapped
+        file), and when it carries the frozen PPR transition CSR the
+        selector adopts it, so pinning costs an entity-index build and
+        little else. Process workers open the same file by the path in
+        the view's header.
         :meth:`swap_snapshot` builds the replacement pin with this before
         the engine atomically adopts it.
         """
@@ -797,7 +793,7 @@ class NCEngine:
             iterations=self.config.iterations,
             pin=True,
         )
-        attached = graph._attached  # noqa: SLF001 - the view's transport
+        attached = graph._attached  # noqa: SLF001 - the view's snapshot file
         stored = attached.transition()
         if stored is not None:
             selector.warm_from(stored)
@@ -834,7 +830,7 @@ class NCEngine:
         * in-flight requests finish on the old pin — each request holds
           an in-flight reference for its whole lifetime, and the old pin
           is only *retired* (the old view's mapping closed when
-          ``close_drained``, which unlinks a segment the engine froze)
+          ``close_drained``, which unlinks a file the engine froze)
           once the last one completes. Drained versions are recorded in
           ``stats().drained_versions``.
 
@@ -909,7 +905,7 @@ class NCEngine:
         every request holds until its answer returns — worker jobs
         included, so no worker still needs the old version once it
         drains. At the last release the old view is closed (when the
-        engine owns it), which unlinks a segment the engine froze, and
+        engine owns it), which unlinks a file the engine froze, and
         the version is recorded as drained.
         """
         version = previous.snapshot.version
@@ -1037,7 +1033,7 @@ class NCEngine:
         return identical results — which is also what makes the failure
         handling here safe:
 
-        * a **stale segment** (gone between dispatch and the worker's
+        * a **stale snapshot file** (gone between dispatch and the worker's
           attach — a hot swap raced the request) is re-dispatched
           immediately on the current pin, which the re-dispatch holds an
           in-flight reference on until it returns. It is the one

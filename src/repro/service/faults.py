@@ -3,8 +3,7 @@
 Production resilience claims are only as good as the faults they were
 tested against. This module provides the injection points the chaos
 tests drive: named *fault points* threaded through the serving stack —
-worker loop, shared-memory attach, snapshot open, registry refresh,
-local compute — that are
+worker loop, snapshot open, registry refresh, local compute — that are
 **no-ops by default** and cost one module-attribute read plus one
 ``None`` check per call when nothing is armed.
 
@@ -14,7 +13,6 @@ Fault points
 ===================  ====================================================
 ``worker.crash``     a worker process calls ``os._exit(1)`` mid-job
 ``worker.slow``      a worker sleeps before computing (hung-worker model)
-``shm.attach``       attaching an shm segment raises ``StaleSnapshotError``
 ``snapshot.vanish``  opening a snapshot file raises ``FileNotFoundError``
 ``registry.manifest``  a registry refresh raises ``RegistryError``
 ``engine.slow``      the engine's local compute path sleeps (thread backend)
@@ -50,8 +48,8 @@ respawn yields a deterministic "faulty worker replaced by a healthy
 one" recipe — the chaos tests lean on exactly that.
 
 This module is stdlib-only and import-cycle-free: hook sites in
-:mod:`repro.parallel.shm` and :mod:`repro.disk` import it lazily inside
-the guarded function, never at module level.
+:mod:`repro.disk` import it lazily inside the guarded function, never at
+module level.
 """
 
 from __future__ import annotations
@@ -72,7 +70,6 @@ KNOWN_POINTS = frozenset(
     {
         "worker.crash",
         "worker.slow",
-        "shm.attach",
         "snapshot.vanish",
         "registry.manifest",
         "engine.slow",

@@ -696,7 +696,7 @@ class ServiceMetrics:
         self.backend_retries = reg.counter(
             "nc_engine_backend_retries_total",
             "Worker-backend dispatches retried after a crash or a stale "
-            "segment.",
+            "snapshot file.",
         )
         self.swaps = reg.counter(
             "nc_engine_swaps_total",

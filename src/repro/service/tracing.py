@@ -463,7 +463,7 @@ class WorkerSpanRecorder:
 
     A span recorded with ``members`` (batch positions) belongs to those
     members only; one recorded without belongs to every member of the
-    message (e.g. the segment attach).
+    message (e.g. the snapshot attach).
     """
 
     __slots__ = ("origin_ns", "_spans")

@@ -9,19 +9,18 @@ simply a batch of one, so the two backends cannot drift apart.
 The thread backend serves *distinct* queries at ~1x per core: the
 pipeline's Python-level work holds the GIL. The pool below is the
 scaling lever for that traffic class — persistent worker **processes**
-that execute against the shared-memory graph snapshot published by
-:mod:`repro.parallel.shm`:
+that execute against the served snapshot file:
 
 * the engine (parent) keeps everything stateful: HTTP serving, name
-  resolution, the version-keyed result cache, single-flight coalescing,
-  and segment publication;
+  resolution, the version-keyed result cache and single-flight
+  coalescing;
 * workers receive batches of :class:`WorkerTask` orders — a few hundred
-  bytes each — and attach the snapshot **once per graph version** (the
-  shm segment of a graph the engine froze, an mmapped snapshot file for
-  ``repro serve --snapshot``), adopting the published frozen PPR
-  transition CSR zero-copy (rebuilding it only when the publisher did
-  not share one); per-request cost is one small task pickle and one
-  result pickle, never the graph;
+  bytes each — and mmap the snapshot file **once per graph version**
+  (the tmpfs copy of a graph the engine froze, or the file that
+  ``repro serve --snapshot`` / a registry serves), adopting its frozen
+  PPR transition CSR zero-copy (rebuilding it only when the file has
+  none); per-request cost is one small task pickle and one result
+  pickle, never the graph;
 * dispatch is round-robin over per-worker task queues, results flow back
   as one list per batch over one shared queue drained by a collector
   thread that resolves the parent-side jobs.
@@ -29,7 +28,7 @@ that execute against the shared-memory graph snapshot published by
 Every message is a batch, and every task takes one path to a worker:
 ``run`` appends it to a parent-side pending deque, and a dispatcher
 thread drains the deque into micro-batches — up to ``max_batch`` tasks
-pinned to the *same* snapshot segment, gathered for at most
+pinned to the *same* snapshot file, gathered for at most
 ``batch_window_ms``. With ``max_batch=1`` a pending task is already a
 full batch, so the dispatcher sends it alone at once. The worker answers
 every member's context search with a single shared multi-column power
@@ -41,12 +40,11 @@ alone (``tests/test_batch_parity.py``), and a member whose deadline
 expires while waiting in the batch window is shed alone — its batchmates
 still execute.
 
-Segment lifecycle: the pool owns no segment and unlinks nothing. Whoever
-published a snapshot releases it — the engine closes a superseded view
-once its version's last request has returned, and a frozen view unlinks
-its segment on close. A worker whose segment (or snapshot file) is gone
-before it attaches reports the job as *stale*, and the engine
-re-dispatches against the current version.
+Snapshot lifecycle: the pool owns no file and unlinks nothing. The
+engine closes a superseded view once its version's last request has
+returned, and a frozen view unlinks its tmpfs file on close. A worker
+whose snapshot file is gone before it attaches reports the job as
+*stale*, and the engine re-dispatches against the current version.
 
 Workers start via the ``spawn`` method: a fresh interpreter per worker
 (no inherited locks or thread state). The engine creates the pool on the
@@ -73,41 +71,22 @@ from repro.core.discrimination import MultinomialDiscriminator
 from repro.core.distributions import sweep_counts_many
 from repro.core.findnc import FindNC, FindNCResult
 from repro.errors import DeadlineExceededError
-from repro.parallel.shm import (
-    SharedSnapshotHeader,
-    SnapshotGraphView,
-    StaleSnapshotError,
-    attach_snapshot,
-)
+from repro.disk.store import DiskSnapshotHeader, open_snapshot
+from repro.parallel.shm import SnapshotGraphView, StaleSnapshotError
 from repro.service import faults
 from repro.service.tracing import WorkerSpanRecorder
 
 
-def _attach_header(header):
-    """Attach whatever transport ``header`` describes.
+def _attach_header(header: DiskSnapshotHeader):
+    """Open the snapshot file ``header`` names.
 
-    Two header species reach a worker: an shm
-    :class:`~repro.parallel.shm.SharedSnapshotHeader` (a graph the engine
-    froze — attach the named segment) and a disk
-    :class:`~repro.disk.DiskSnapshotHeader` (snapshot-file serving — mmap
-    the file; no publish step existed, so there is nothing to attach in
-    the shm sense). Both return objects with the same attach surface, so
-    the worker loop below does not care which it got. A vanished snapshot
-    file maps onto :class:`~repro.parallel.shm.StaleSnapshotError`, the
-    same retriable condition as an unlinked segment.
+    A file that is gone (its frozen copy was retired) raises the
+    retriable :class:`~repro.parallel.shm.StaleSnapshotError`.
     """
-    if isinstance(header, SharedSnapshotHeader):
-        return attach_snapshot(header)
-    from repro.disk.store import DiskSnapshotHeader, open_snapshot
-
-    if isinstance(header, DiskSnapshotHeader):
-        try:
-            return open_snapshot(header.path)
-        except FileNotFoundError as error:
-            raise StaleSnapshotError(
-                f"snapshot file {header.path!r} is gone"
-            ) from error
-    raise TypeError(f"unknown snapshot header type: {type(header).__name__}")
+    try:
+        return open_snapshot(header.path)
+    except FileNotFoundError as error:
+        raise StaleSnapshotError(f"snapshot file {header.path!r} is gone") from error
 
 
 class WorkerCrashError(RuntimeError):
@@ -155,7 +134,7 @@ class WorkerTask:
     rng_seed: int
     config: WorkerConfig
     job_id: int = 0
-    header: "SharedSnapshotHeader | None" = None
+    header: "DiskSnapshotHeader | None" = None
     trace: "str | None" = None
 
 
@@ -177,7 +156,7 @@ def execute_batch(view, snapshot, selector, tasks, recorder=None) -> list:
     exception it raised. If a group's shared phase fails, each member is
     re-run as a batch of one, so the error lands only on the member that
     caused it. ``StaleSnapshotError`` propagates: staleness is a property
-    of the shared segment, hence of the whole batch.
+    of the snapshot file, hence of the whole batch.
 
     With a ``recorder``, each group records ``worker.ppr`` and
     ``worker.sweep`` for its members and each member its own
@@ -215,7 +194,7 @@ def _outcome(call, *args, **kwargs):
     Catching in this frame, which holds no outcome list, keeps a failed
     member's traceback free of reference cycles: dropping the outcomes
     frees the frames at once, so no stray frame pins the attached
-    snapshot's buffers past the next segment switch.
+    snapshot's buffers past the next version switch.
     """
     try:
         return call(*args, **kwargs)
@@ -314,11 +293,11 @@ def _replies(members, outcomes, recorder) -> list:
 def _worker_main(worker_index: int, task_queue, result_queue) -> None:
     """The worker process loop: attach-per-version, a batch per message.
 
-    Each message is a tuple of :class:`WorkerTask` pinned to one segment;
-    the reply is one list of ``(job_id, status, payload)`` entries, in
-    member order, with status ``"ok"`` (payload: the pickled
-    :class:`~repro.core.findnc.FindNCResult`), ``"stale"`` (the segment
-    was unlinked before this worker could attach) or ``"error"``
+    Each message is a tuple of :class:`WorkerTask` pinned to one snapshot
+    file; the reply is one list of ``(job_id, status, payload)`` entries,
+    in member order, with status ``"ok"`` (payload: the pickled
+    :class:`~repro.core.findnc.FindNCResult`), ``"stale"`` (the file was
+    unlinked before this worker could open it) or ``"error"``
     (payload: ``(repr, traceback string)``).
     """
     from repro.core.context import RandomWalkContext  # heavy import, worker-local
@@ -328,7 +307,7 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
     faults.install_from_env()
 
     attached = None
-    attached_segment: str | None = None
+    attached_path: str | None = None
     view: SnapshotGraphView | None = None
     selector = None
 
@@ -345,7 +324,7 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
             os._exit(1)
         faults.fire("worker.slow")  # the rule's delay models a hung worker
         task = members[0]
-        segment = task.header.segment
+        path = task.header.path
         # One recorder per received message: its origin (message receipt)
         # is what the parent rebases span offsets against at stitch time.
         recorder = (
@@ -354,20 +333,18 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
             else None
         )
         try:
-            if attached_segment != segment:
-                # New graph version: drop the old mapping (views first —
-                # a memoryview with live exports cannot be released),
-                # attach the new segment, rebuild the frozen transition
-                # matrix from the shared arrays. Once per version, not
-                # per request. `attached_segment` is only recorded after
-                # the WHOLE initialization succeeds — a partial failure
-                # (e.g. the transition build raising) must not leave this
-                # worker believing the segment is ready, or every later
-                # task for the version would skip re-initialization and
-                # fail on the half-built state.
+            if attached_path != path:
+                # New graph version: drop the old mapping, open the new
+                # file, adopt its frozen transition matrix. Once per
+                # version, not per request. `attached_path` is only
+                # recorded after the WHOLE initialization succeeds — a
+                # partial failure (e.g. the transition build raising)
+                # must not leave this worker believing the file is ready,
+                # or every later task for the version would skip
+                # re-initialization and fail on the half-built state.
                 selector = None
                 view = None
-                attached_segment = None
+                attached_path = None
                 if attached is not None:
                     attached.close()
                     attached = None
@@ -382,25 +359,24 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
                 )
                 shared_transition = attached.transition()
                 if shared_transition is not None:
-                    # The publisher shared the frozen transition's CSR
-                    # triple (through the segment or the snapshot file):
-                    # adopt it zero-copy instead of rebuilding
+                    # The file carries the frozen transition's CSR
+                    # triple: adopt it zero-copy instead of rebuilding
                     # weighted_adjacency per worker per version.
                     selector.warm_from(shared_transition)
                 else:
                     selector.warm()
-                attached_segment = segment
+                attached_path = path
                 if recorder is not None:
                     recorder.record(
                         "worker.attach",
                         attach_start,
-                        segment=segment,
+                        path=path,
                         shared_transition=shared_transition is not None,
                     )
             # One list message for the whole batch: result pickling and
             # queue transport are paid once per batch, not per member. No
             # local keeps the outcomes, so nothing outlives the reply to
-            # pin this segment's buffers when the next message re-attaches.
+            # pin this file's mapping when the next message re-attaches.
             result_queue.put(
                 _replies(
                     members,
@@ -416,7 +392,7 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
             )
         except StaleSnapshotError:
             attached = None
-            attached_segment = None
+            attached_path = None
             view = None
             selector = None
             result_queue.put(
@@ -511,7 +487,7 @@ class ProcessWorkerPool:
     callback is swallowed.
 
     Dispatch: ``run`` enqueues every task onto a pending deque, and a
-    dispatcher thread groups them by snapshot segment into batches of up
+    dispatcher thread groups them by snapshot file into batches of up
     to ``max_batch``, waiting at most ``batch_window_ms`` for stragglers
     once a task is pending. With the default ``max_batch=1`` each task is
     a full batch on arrival and goes out alone at once.
@@ -690,7 +666,7 @@ class ProcessWorkerPool:
     def run(
         self,
         *,
-        header: SharedSnapshotHeader,
+        header: DiskSnapshotHeader,
         query_ids: "tuple[int, ...]",
         context_size: int,
         alpha: float,
@@ -853,7 +829,7 @@ class ProcessWorkerPool:
                 self._stale_retries += 1
             self._emit("stale")
             raise StaleSnapshotError(
-                f"segment {header.segment!r} was gone before the worker attached"
+                f"snapshot file {header.path!r} was gone before the worker attached"
             )
         error_repr, remote_traceback = job.payload  # type: ignore[misc]
         raise RemoteQueryError(
@@ -873,18 +849,18 @@ class ProcessWorkerPool:
     # -- dispatch ----------------------------------------------------------
 
     def _dispatch_batches(self) -> None:
-        """Drain pending tasks into segment-grouped micro-batches.
+        """Drain pending tasks into file-grouped micro-batches.
 
         Runs on the dedicated dispatcher thread, the one path from ``run``
         to a worker queue. Once a task is pending, up to
-        ``batch_window_ms`` is spent gathering same-segment companions —
+        ``batch_window_ms`` is spent gathering same-file companions —
         the window caps queueing latency, ``max_batch`` caps batch size,
         and a batch that is already full (every lone task at
         ``max_batch=1``) goes out without waiting.
         Entries whose job id is no longer registered were shed by their
         caller's deadline while queued; they are dropped member-by-member
         without disturbing the rest of the batch. Tasks pinned to a
-        different segment than the batch head keep their arrival order
+        different file than the batch head keep their arrival order
         and form the next batch.
 
         Graceful drain: ``close()`` sets ``_closed`` and joins this
@@ -909,11 +885,9 @@ class ProcessWorkerPool:
                     self._pending = live
                     if not live:
                         break
-                    head_segment = live[0][1].header.segment
+                    head_path = live[0][1].header.path
                     ready = sum(
-                        1
-                        for _, task in live
-                        if task.header.segment == head_segment
+                        1 for _, task in live if task.header.path == head_path
                     )
                     remaining = window_until - time.monotonic()
                     if ready >= self._max_batch or remaining <= 0 or self._closed:
@@ -923,11 +897,11 @@ class ProcessWorkerPool:
                     continue
                 picked: list = []
                 kept: "deque[tuple[int, WorkerTask]]" = deque()
-                head_segment = self._pending[0][1].header.segment
+                head_path = self._pending[0][1].header.path
                 for entry in self._pending:
                     if (
                         len(picked) < self._max_batch
-                        and entry[1].header.segment == head_segment
+                        and entry[1].header.path == head_path
                     ):
                         picked.append(entry)
                     else:

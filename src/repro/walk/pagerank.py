@@ -437,10 +437,9 @@ class PersonalizedPageRank:
     def adopt_transition(self, matrix: sparse.csr_matrix) -> None:
         """Install a prebuilt frozen transition matrix (requires ``pin=True``).
 
-        The zero-build warm path: the query service publishes the pinned
-        transition's CSR triple through shared memory and the disk store
-        persists it in the snapshot file, so workers and cold-started
-        servers hand the matrix in here instead of paying a
+        The zero-build warm path: the disk store persists the pinned
+        transition's CSR triple in the snapshot file, so workers and
+        cold-started servers hand the matrix in here instead of paying a
         :func:`~repro.graph.matrix.weighted_adjacency` rebuild. Only a
         pinned runner may adopt — an unpinned one would keep serving the
         adopted matrix across graph mutations.

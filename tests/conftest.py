@@ -7,6 +7,7 @@ import pytest
 from repro.datasets.figure1 import figure1_graph
 from repro.datasets.loader import load_dataset
 from repro.graph.builder import GraphBuilder
+from repro.parallel.shm import freeze_graph
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -89,3 +90,24 @@ def yago_small():
 @pytest.fixture(scope="session")
 def linkedmdb_small():
     return load_dataset("linkedmdb", scale=1.0)
+
+
+@pytest.fixture()
+def frozen():
+    """Freeze graphs for process workers: ``frozen(graph)`` -> header.
+
+    Each call writes ``graph`` to a tmpfs snapshot file
+    (:func:`~repro.parallel.shm.freeze_graph`) and returns the
+    :class:`~repro.disk.DiskSnapshotHeader` workers open it by. Every
+    frozen view is closed at teardown, which unlinks its file.
+    """
+    views = []
+
+    def freeze(graph):
+        view = freeze_graph(graph)
+        views.append(view)
+        return view._attached.header
+
+    yield freeze
+    for view in views:
+        view.close()

@@ -32,7 +32,7 @@ from repro.core.context import RandomWalkContext
 from repro.core.discrimination import MultinomialDiscriminator
 from repro.core.findnc import FindNC
 from repro.datasets.figure1 import figure1_graph
-from repro.parallel.shm import StaleSnapshotError, publish_graph
+from repro.parallel.shm import StaleSnapshotError
 from repro.service.tracing import WorkerSpanRecorder
 from repro.service.workers import (
     ProcessWorkerPool,
@@ -454,25 +454,22 @@ def _run_concurrently(pool: ProcessWorkerPool, jobs: "list[tuple]") -> list:
 
 
 class TestPoolBatchParity:
-    def test_batched_pool_matches_solo_pool(self):
+    def test_batched_pool_matches_solo_pool(self, frozen):
         """Solo and batched pools run the same function, so both are held
         to the independent oracle: ``FindNC.run`` in process."""
         graph = figure1_graph()
         queries = [(1,), (2,), (3,), (1, 2)]
         expected = [_payload(_reference(graph, _pool_task(q))) for q in queries]
-        shared = publish_graph(graph)
-        try:
-            with ProcessWorkerPool(1) as solo_pool:
-                solo = [_run(solo_pool, shared.header, q) for q in queries]
-            with ProcessWorkerPool(
-                1, batch_window_ms=80.0, max_batch=4
-            ) as batched_pool:
-                got = _run_concurrently(
-                    batched_pool, [(shared.header, q) for q in queries]
-                )
-                stats = batched_pool.stats()
-        finally:
-            shared.unlink()
+        header = frozen(graph)
+        with ProcessWorkerPool(1) as solo_pool:
+            solo = [_run(solo_pool, header, q) for q in queries]
+        with ProcessWorkerPool(
+            1, batch_window_ms=80.0, max_batch=4
+        ) as batched_pool:
+            got = _run_concurrently(
+                batched_pool, [(header, q) for q in queries]
+            )
+            stats = batched_pool.stats()
         assert [_payload(r) for r in solo] == expected
         assert [_payload(r) for r in got] == expected
         # The point of the test: these answers actually shared a sweep
@@ -481,45 +478,34 @@ class TestPoolBatchParity:
         assert stats.batched_members == len(queries)
         assert stats.completed == len(queries)
 
-    def test_mixed_version_batch_never_crosses_snapshots(self):
+    def test_mixed_version_batch_never_crosses_snapshots(self, frozen):
         """Members pinned to different snapshot versions are grouped apart
         and each still matches ``FindNC.run``."""
         graph = figure1_graph()
-        first = publish_graph(graph)
-        second = publish_graph(figure1_graph())
+        first = frozen(graph)
+        second = frozen(figure1_graph())
         queries = [(1,), (2,)]
         expected = {q: _payload(_reference(graph, _pool_task(q))) for q in queries}
-        try:
-            with ProcessWorkerPool(
-                1, batch_window_ms=80.0, max_batch=4
-            ) as batched_pool:
-                jobs = [
-                    (shared.header, q)
-                    for shared in (first, second)
-                    for q in queries
-                ]
-                got = _run_concurrently(batched_pool, jobs)
-                stats = batched_pool.stats()
-        finally:
-            first.unlink()
-            second.unlink()
+        with ProcessWorkerPool(
+            1, batch_window_ms=80.0, max_batch=4
+        ) as batched_pool:
+            jobs = [(header, q) for header in (first, second) for q in queries]
+            got = _run_concurrently(batched_pool, jobs)
+            stats = batched_pool.stats()
         for (_, q), result in zip(jobs, got):
             assert _payload(result) == expected[q]
         # Two versions cannot share a batch: at least two dispatches.
         assert stats.batches >= 2
         assert stats.completed == len(jobs)
 
-    def test_single_member_window_completes_as_one_batch(self):
+    def test_single_member_window_completes_as_one_batch(self, frozen):
         """A window that gathers one task still completes, as one batch."""
-        shared = publish_graph(figure1_graph())
-        try:
-            with ProcessWorkerPool(
-                1, batch_window_ms=10.0, max_batch=4
-            ) as pool:
-                result = _run(pool, shared.header, (1, 2))
-                stats = pool.stats()
-        finally:
-            shared.unlink()
+        header = frozen(figure1_graph())
+        with ProcessWorkerPool(
+            1, batch_window_ms=10.0, max_batch=4
+        ) as pool:
+            result = _run(pool, header, (1, 2))
+            stats = pool.stats()
         assert result.query == (1, 2)
         assert stats.batches == 1
         assert stats.batched_members == 1

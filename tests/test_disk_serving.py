@@ -8,6 +8,7 @@ Booting that way must also be at least 10x faster than parsing and
 compiling the N-Triples dump.
 """
 
+import os
 import timeit
 
 import pytest
@@ -97,8 +98,8 @@ class TestEngineParity:
 
     @pytest.mark.slow
     def test_process_backend_identical(self, graph, snapshot_path):
-        """Workers mmap the file themselves — no shm publish for the boot
-        version — and still match live-graph serving bit-for-bit."""
+        """Workers mmap the served file itself — no frozen copy for the
+        boot version — and still match live-graph serving bit-for-bit."""
         view = open_snapshot_view(snapshot_path)
         with NCEngine(
             graph,
@@ -114,9 +115,9 @@ class TestEngineParity:
         ) as cold:
             live.pin()
             state = cold.pin()
-            # The pinned header is the file itself, not an shm segment.
+            # The pinned header is the served file itself, not a copy.
             assert state.header is not None
-            assert state.header.segment.startswith("file://")
+            assert state.header.path == os.path.abspath(snapshot_path)
             for query in QUERIES:
                 assert fingerprint(cold.search(query)) == fingerprint(
                     live.search(query)

@@ -12,6 +12,7 @@ from repro.disk.store import (
     MAGIC,
     DiskSnapshotHeader,
     SnapshotFormatError,
+    inspect_snapshot,
     open_snapshot,
     open_snapshot_view,
     save_graph_snapshot,
@@ -87,7 +88,7 @@ class TestRoundTrip:
             assert header.version == graph.version
             assert header.node_count == graph.node_count
             assert header.label_count == len(graph._label_table())
-            assert header.segment.startswith("file://")
+            assert header.path == str(path)
 
     def test_transition_round_trips(self, tmp_path):
         graph = sample_graph()
@@ -153,20 +154,29 @@ class TestViewSurface:
         assert view.compiled() is view._compiled()
 
 
+#: Both readers of a snapshot file's header: they share one parser.
+header_readers = pytest.mark.parametrize(
+    "read", [open_snapshot, inspect_snapshot], ids=["open", "inspect"]
+)
+
+
 class TestFormatGuards:
-    def test_bad_magic_rejected(self, tmp_path):
+    @header_readers
+    def test_bad_magic_rejected(self, tmp_path, read):
         path = tmp_path / "junk.snap"
         path.write_bytes(b"NOTASNAP" + b"\x00" * 64)
         with pytest.raises(SnapshotFormatError, match="bad magic"):
-            open_snapshot(path)
+            read(path)
 
-    def test_short_file_rejected(self, tmp_path):
+    @header_readers
+    def test_short_file_rejected(self, tmp_path, read):
         path = tmp_path / "short.snap"
         path.write_bytes(MAGIC[:4])
         with pytest.raises(SnapshotFormatError, match="too short"):
-            open_snapshot(path)
+            read(path)
 
-    def test_future_format_version_rejected(self, tmp_path):
+    @header_readers
+    def test_future_format_version_rejected(self, tmp_path, read):
         graph = sample_graph()
         path = tmp_path / "g.snap"
         save_graph_snapshot(graph, path)
@@ -174,7 +184,7 @@ class TestFormatGuards:
         raw[8] = FORMAT_VERSION + 1  # little-endian u32 at offset 8
         path.write_bytes(bytes(raw))
         with pytest.raises(SnapshotFormatError, match="format version"):
-            open_snapshot(path)
+            read(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         graph = sample_graph()
@@ -216,30 +226,7 @@ class TestHeaderPickling:
         assert isinstance(clone, DiskSnapshotHeader)
 
 
-class TestShmLayoutParity:
-    def test_disk_and_shm_serve_identical_bytes(self, tmp_path):
-        """The two transports publish the same block contents."""
-        from repro.parallel.shm import attach_snapshot, publish_graph
-
-        graph = sample_graph()
-        path = tmp_path / "g.snap"
-        save_graph_snapshot(graph, path, include_transition=False)
-        shared = publish_graph(graph)
-        try:
-            attached = attach_snapshot(shared.header)
-            try:
-                with open_snapshot(path) as snap:
-                    for name, _ in ARRAY_FIELDS:
-                        assert (
-                            getattr(snap.compiled, name).tobytes()
-                            == getattr(attached.compiled, name).tobytes()
-                        ), name
-                    assert list(snap.node_names) == list(attached.node_names)
-            finally:
-                attached.close()
-        finally:
-            shared.unlink()
-
+class TestFileLayout:
     @pytest.mark.parametrize(
         ("include_transition", "sha256"),
         [

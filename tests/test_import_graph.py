@@ -11,7 +11,8 @@ answer).
 
 Spawned workers also never load the HTTP server's modules
 (``http.server``, ``ssl``): :mod:`repro.service` serves its server names
-lazily.
+lazily. Nor do they load ``multiprocessing.shared_memory``: every worker
+maps its snapshot from a file.
 
 The checks run in a fresh interpreter: the pytest process has long since
 imported everything.
@@ -83,7 +84,11 @@ import sys
 
 import repro.service.workers
 
-loaded = sorted(name for name in ("http.server", "ssl") if name in sys.modules)
+loaded = sorted(
+    name
+    for name in ("http.server", "ssl", "multiprocessing.shared_memory")
+    if name in sys.modules
+)
 assert not loaded, f"a worker import loaded {loaded}"
 
 import repro.service

@@ -9,7 +9,6 @@ import pytest
 from repro.datasets.figure1 import figure1_graph
 from repro.disk import SnapshotRegistry, open_snapshot, save_graph_snapshot
 from repro.disk.registry import RegistryError
-from repro.parallel.shm import StaleSnapshotError, attach_snapshot, publish_graph
 from repro.service import faults
 
 
@@ -84,8 +83,8 @@ class TestParseSpec:
 class TestFaultInjector:
     def test_unarmed_point_never_fires(self):
         injector = faults.FaultInjector([faults.FaultRule("worker.crash")])
-        assert not injector.fire("shm.attach")
-        assert injector.fired("shm.attach") == 0
+        assert not injector.fire("snapshot.vanish")
+        assert injector.fired("snapshot.vanish") == 0
 
     def test_limit_caps_firings(self):
         injector = faults.FaultInjector(
@@ -160,19 +159,6 @@ class TestProcessGlobalInjector:
 
 class TestHookSites:
     """Each armed fault point surfaces as the documented stack error."""
-
-    def test_shm_attach_failure(self):
-        shared = publish_graph(figure1_graph())
-        try:
-            faults.set_injector(
-                faults.FaultInjector([faults.FaultRule("shm.attach", limit=1)])
-            )
-            with pytest.raises(StaleSnapshotError, match="fault injection"):
-                attach_snapshot(shared.header)
-            # The limit is spent: the next attach must succeed.
-            attach_snapshot(shared.header).close()
-        finally:
-            shared.unlink()
 
     def test_snapshot_vanish(self, tmp_path):
         path = tmp_path / "graph.snap"

@@ -10,7 +10,6 @@ import threading
 
 from repro.datasets.figure1 import figure1_graph
 from repro.errors import DeadlineExceededError, EngineSaturatedError
-from repro.parallel.shm import publish_graph
 from repro.service import faults
 from repro.service.engine import CircuitBreaker, EngineConfig, NCEngine
 from repro.service.workers import ProcessWorkerPool, WorkerConfig
@@ -392,46 +391,43 @@ def _worker_config() -> WorkerConfig:
 class TestBatchWindowDeadlines:
     """A deadline expiring inside the batch window sheds only that member."""
 
-    def test_expiry_in_the_window_sheds_that_member_only(self, graph):
-        shared = publish_graph(graph)
-        try:
-            with ProcessWorkerPool(
-                1, watchdog_tick=0.05, batch_window_ms=600.0, max_batch=8
-            ) as pool:
-                survivor: dict = {}
+    def test_expiry_in_the_window_sheds_that_member_only(self, graph, frozen):
+        header = frozen(graph)
+        with ProcessWorkerPool(
+            1, watchdog_tick=0.05, batch_window_ms=600.0, max_batch=8
+        ) as pool:
+            survivor: dict = {}
 
-                def _survivor() -> None:
-                    survivor["result"] = pool.run(
-                        header=shared.header,
-                        query_ids=(2,),
-                        context_size=3,
-                        alpha=0.05,
-                        rng_seed=123,
-                        config=_worker_config(),
-                    )
+            def _survivor() -> None:
+                survivor["result"] = pool.run(
+                    header=header,
+                    query_ids=(2,),
+                    context_size=3,
+                    alpha=0.05,
+                    rng_seed=123,
+                    config=_worker_config(),
+                )
 
-                thread = threading.Thread(target=_survivor)
-                thread.start()
-                time.sleep(0.1)  # the survivor is queued, the window is open
-                started = time.monotonic()
-                with pytest.raises(
-                    DeadlineExceededError, match="queued in the batch window"
-                ):
-                    pool.run(
-                        header=shared.header,
-                        query_ids=(3,),
-                        context_size=3,
-                        alpha=0.05,
-                        rng_seed=123,
-                        config=_worker_config(),
-                        deadline=time.monotonic() + 0.15,
-                    )
-                # Surfaced at its own deadline, not at window close.
-                assert time.monotonic() - started < 0.45
-                thread.join(timeout=15)
-                stats = pool.stats()
-        finally:
-            shared.unlink()
+            thread = threading.Thread(target=_survivor)
+            thread.start()
+            time.sleep(0.1)  # the survivor is queued, the window is open
+            started = time.monotonic()
+            with pytest.raises(
+                DeadlineExceededError, match="queued in the batch window"
+            ):
+                pool.run(
+                    header=header,
+                    query_ids=(3,),
+                    context_size=3,
+                    alpha=0.05,
+                    rng_seed=123,
+                    config=_worker_config(),
+                    deadline=time.monotonic() + 0.15,
+                )
+            # Surfaced at its own deadline, not at window close.
+            assert time.monotonic() - started < 0.45
+            thread.join(timeout=15)
+            stats = pool.stats()
         # The batchmate was not shed with it: it dispatched (alone) and
         # completed after the window closed.
         assert survivor["result"].query == (2,)

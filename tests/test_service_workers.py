@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import glob
+import os
 import threading
 import time
 
@@ -11,7 +12,7 @@ import pytest
 from repro.datasets.figure1 import figure1_graph
 from repro.disk import SnapshotRegistry, save_graph_snapshot
 from repro.errors import DeadlineExceededError
-from repro.parallel.shm import StaleSnapshotError, publish_graph
+from repro.parallel.shm import StaleSnapshotError
 from repro.service import faults
 from repro.service.engine import EngineConfig, NCEngine
 from repro.service.workers import (
@@ -24,8 +25,8 @@ from repro.service.workers import (
 QUERY = ["Angela_Merkel", "Barack_Obama"]
 
 
-def _segments() -> set[str]:
-    """The repro snapshot segments currently linked on this host."""
+def _frozen_files() -> set[str]:
+    """The frozen snapshot files currently linked in /dev/shm."""
     return set(glob.glob("/dev/shm/repro-snap-*"))
 
 
@@ -48,27 +49,23 @@ def pool():
 
 
 class TestProcessWorkerPool:
-    def test_run_executes_findnc_remotely(self, pool):
+    def test_run_executes_findnc_remotely(self, pool, frozen):
         graph = figure1_graph()
-        shared = publish_graph(graph)
-        try:
-            result = pool.run(
-                header=shared.header,
-                query_ids=(1, 2),
-                context_size=3,
-                alpha=0.05,
-                rng_seed=123,
-                config=_config(),
-            )
-            assert result.query == (1, 2)
-            assert result.results
-        finally:
-            shared.unlink()
+        header = frozen(graph)
+        result = pool.run(
+            header=header,
+            query_ids=(1, 2),
+            context_size=3,
+            alpha=0.05,
+            rng_seed=123,
+            config=_config(),
+        )
+        assert result.query == (1, 2)
+        assert result.results
 
-    def test_stale_segment_surfaces_as_retriable_error(self, pool):
-        shared = publish_graph(figure1_graph())
-        header = shared.header
-        shared.unlink()
+    def test_stale_segment_surfaces_as_retriable_error(self, pool, frozen):
+        header = frozen(figure1_graph())
+        os.unlink(header.path)  # the frozen copy is retired before any attach
         with pytest.raises(StaleSnapshotError):
             pool.run(
                 header=header,
@@ -80,20 +77,17 @@ class TestProcessWorkerPool:
             )
         assert pool.stats().stale_retries == 1
 
-    def test_worker_error_carries_remote_traceback(self, pool):
-        shared = publish_graph(figure1_graph())
-        try:
-            with pytest.raises(RemoteQueryError, match="worker traceback"):
-                pool.run(
-                    header=shared.header,
-                    query_ids=(10 ** 9,),  # beyond the snapshot: QueryError
-                    context_size=3,
-                    alpha=0.05,
-                    rng_seed=123,
-                    config=_config(),
-                )
-        finally:
-            shared.unlink()
+    def test_worker_error_carries_remote_traceback(self, pool, frozen):
+        header = frozen(figure1_graph())
+        with pytest.raises(RemoteQueryError, match="worker traceback"):
+            pool.run(
+                header=header,
+                query_ids=(10 ** 9,),  # beyond the snapshot: QueryError
+                context_size=3,
+                alpha=0.05,
+                rng_seed=123,
+                config=_config(),
+            )
 
     def test_stats_counters(self, pool):
         stats = pool.stats()
@@ -111,15 +105,15 @@ class TestProcessWorkerPool:
 class TestWorkerCrash:
     pytestmark = pytest.mark.chaos
 
-    def test_dead_worker_raises_then_slot_recovers(self):
+    def test_dead_worker_raises_then_slot_recovers(self, frozen):
         pool = ProcessWorkerPool(1)
-        shared = publish_graph(figure1_graph())
+        header = frozen(figure1_graph())
         try:
             pool._processes[0].terminate()
             pool._processes[0].join(timeout=10)
             with pytest.raises(WorkerCrashError):
                 pool.run(
-                    header=shared.header,
+                    header=header,
                     query_ids=(1, 2),
                     context_size=3,
                     alpha=0.05,
@@ -129,7 +123,7 @@ class TestWorkerCrash:
             # The watchdog respawned the slot: the next job must succeed
             # and the pool must report the replacement.
             result = pool.run(
-                header=shared.header,
+                header=header,
                 query_ids=(1, 2),
                 context_size=3,
                 alpha=0.05,
@@ -142,10 +136,9 @@ class TestWorkerCrash:
             assert stats.alive == 1
             assert stats.inflight == 0  # crashed job gave its slot back
         finally:
-            shared.unlink()
             pool.close()
 
-    def test_sigkill_mid_job_recovers_slot(self, monkeypatch):
+    def test_sigkill_mid_job_recovers_slot(self, monkeypatch, frozen):
         """SIGKILL a worker while it is computing: the watchdog abandons
         the job, frees its slot, and replaces the worker."""
         # The first task stalls for 30s inside the worker (worker.slow is
@@ -155,7 +148,7 @@ class TestWorkerCrash:
         monkeypatch.setenv(faults.FAULTS_ENV, "worker.slow=1:30:1")
         pool = ProcessWorkerPool(1, watchdog_tick=0.05, crash_grace_s=0.2)
         monkeypatch.delenv(faults.FAULTS_ENV)
-        shared = publish_graph(figure1_graph())
+        header = frozen(figure1_graph())
         try:
             victim = pool._processes[0]
             killer = threading.Timer(0.3, victim.kill)
@@ -163,7 +156,7 @@ class TestWorkerCrash:
             started = time.monotonic()
             with pytest.raises(WorkerCrashError, match="replacement worker"):
                 pool.run(
-                    header=shared.header,
+                    header=header,
                     query_ids=(1, 2),
                     context_size=3,
                     alpha=0.05,
@@ -180,7 +173,7 @@ class TestWorkerCrash:
             assert stats.inflight == 0  # _abandon gave the slot back
             # The replacement worker serves the next job.
             result = pool.run(
-                header=shared.header,
+                header=header,
                 query_ids=(1, 2),
                 context_size=3,
                 alpha=0.05,
@@ -189,10 +182,9 @@ class TestWorkerCrash:
             )
             assert result.query == (1, 2)
         finally:
-            shared.unlink()
             pool.close()
 
-    def test_respawn_rate_limit_then_revive(self):
+    def test_respawn_rate_limit_then_revive(self, frozen):
         pool = ProcessWorkerPool(
             1,
             watchdog_tick=0.05,
@@ -200,7 +192,7 @@ class TestWorkerCrash:
             respawn_limit=1,
             respawn_window_s=60.0,
         )
-        shared = publish_graph(figure1_graph())
+        header = frozen(figure1_graph())
 
         def crash_once() -> None:
             pool._processes[0].kill()
@@ -208,7 +200,7 @@ class TestWorkerCrash:
 
         def run_once():
             return pool.run(
-                header=shared.header,
+                header=header,
                 query_ids=(1, 2),
                 context_size=3,
                 alpha=0.05,
@@ -234,7 +226,6 @@ class TestWorkerCrash:
             assert pool.stats().alive == 1
             assert run_once().query == (1, 2)
         finally:
-            shared.unlink()
             pool.close()
 
     def test_revive_on_closed_pool_is_a_noop(self):
@@ -244,41 +235,35 @@ class TestWorkerCrash:
 
 
 class TestPoolDeadlines:
-    def test_expired_deadline_rejected_before_dispatch(self, pool):
-        shared = publish_graph(figure1_graph())
-        try:
-            dispatched_before = pool.stats().dispatched
-            with pytest.raises(DeadlineExceededError, match="before the job"):
-                pool.run(
-                    header=shared.header,
-                    query_ids=(1, 2),
-                    context_size=3,
-                    alpha=0.05,
-                    rng_seed=123,
-                    config=_config(),
-                    deadline=time.monotonic() - 0.01,
-                )
-            stats = pool.stats()
-            assert stats.dispatched == dispatched_before  # never enqueued
-            assert stats.deadline_abandons == 1
-        finally:
-            shared.unlink()
-
-    def test_generous_deadline_does_not_interfere(self, pool):
-        shared = publish_graph(figure1_graph())
-        try:
-            result = pool.run(
-                header=shared.header,
+    def test_expired_deadline_rejected_before_dispatch(self, pool, frozen):
+        header = frozen(figure1_graph())
+        dispatched_before = pool.stats().dispatched
+        with pytest.raises(DeadlineExceededError, match="before the job"):
+            pool.run(
+                header=header,
                 query_ids=(1, 2),
                 context_size=3,
                 alpha=0.05,
                 rng_seed=123,
                 config=_config(),
-                deadline=time.monotonic() + 30.0,
+                deadline=time.monotonic() - 0.01,
             )
-            assert result.query == (1, 2)
-        finally:
-            shared.unlink()
+        stats = pool.stats()
+        assert stats.dispatched == dispatched_before  # never enqueued
+        assert stats.deadline_abandons == 1
+
+    def test_generous_deadline_does_not_interfere(self, pool, frozen):
+        header = frozen(figure1_graph())
+        result = pool.run(
+            header=header,
+            query_ids=(1, 2),
+            context_size=3,
+            alpha=0.05,
+            rng_seed=123,
+            config=_config(),
+            deadline=time.monotonic() + 30.0,
+        )
+        assert result.query == (1, 2)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -295,7 +280,7 @@ class TestPoolDeadlines:
 
 
 class TestDispatcherDrain:
-    def test_close_flushes_gathered_batch_members(self):
+    def test_close_flushes_gathered_batch_members(self, frozen):
         """Members sitting in the gather window survive ``close()``.
 
         Regression: the dispatcher used to exit as soon as ``_closed``
@@ -306,7 +291,7 @@ class TestDispatcherDrain:
         still gathered (not dispatched) when ``close()`` lands.
         """
         pool = ProcessWorkerPool(1, max_batch=8, batch_window_ms=60_000.0)
-        shared = publish_graph(figure1_graph())
+        header = frozen(figure1_graph())
         results: "list" = []
         errors: "list[BaseException]" = []
 
@@ -314,7 +299,7 @@ class TestDispatcherDrain:
             try:
                 results.append(
                     pool.run(
-                        header=shared.header,
+                        header=header,
                         query_ids=(1, 2),
                         context_size=3,
                         alpha=0.05,
@@ -326,60 +311,54 @@ class TestDispatcherDrain:
                 errors.append(error)
 
         threads = [threading.Thread(target=submit) for _ in range(3)]
-        try:
-            for thread in threads:
-                thread.start()
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                with pool._lock:
-                    gathered = len(pool._pending)
-                if gathered == len(threads):
-                    break
-                time.sleep(0.01)
-            else:
-                pytest.fail("members never reached the gather window")
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            with pool._lock:
+                gathered = len(pool._pending)
+            if gathered == len(threads):
+                break
+            time.sleep(0.01)
+        else:
+            pytest.fail("members never reached the gather window")
 
-            pool.close()
-            for thread in threads:
-                thread.join(timeout=60.0)
-            assert not any(thread.is_alive() for thread in threads)
-            assert not errors, f"flushed members failed: {errors!r}"
-            assert len(results) == len(threads)
-            assert all(result.query == (1, 2) for result in results)
-            assert all(result.results for result in results)
-        finally:
-            shared.unlink()
+        pool.close()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, f"flushed members failed: {errors!r}"
+        assert len(results) == len(threads)
+        assert all(result.query == (1, 2) for result in results)
+        assert all(result.results for result in results)
 
 
 class TestOneDispatchPath:
     """Every task reaches a worker through the dispatcher thread."""
 
-    def test_default_pool_dispatches_each_run_as_a_batch_of_one(self):
-        shared = publish_graph(figure1_graph())
+    def test_default_pool_dispatches_each_run_as_a_batch_of_one(self, frozen):
+        header = frozen(figure1_graph())
         runs = 3
-        try:
-            with ProcessWorkerPool(1) as pool:
-                for _ in range(runs):
-                    result = pool.run(
-                        header=shared.header,
-                        query_ids=(1, 2),
-                        context_size=3,
-                        alpha=0.05,
-                        rng_seed=123,
-                        config=_config(),
-                    )
-                    assert result.query == (1, 2)
-                stats = pool.stats()
-            assert stats.batches == stats.batched_members == runs
-            assert stats.completed == runs
-        finally:
-            shared.unlink()
+        with ProcessWorkerPool(1) as pool:
+            for _ in range(runs):
+                result = pool.run(
+                    header=header,
+                    query_ids=(1, 2),
+                    context_size=3,
+                    alpha=0.05,
+                    rng_seed=123,
+                    config=_config(),
+                )
+                assert result.query == (1, 2)
+            stats = pool.stats()
+        assert stats.batches == stats.batched_members == runs
+        assert stats.completed == runs
 
     @pytest.mark.parametrize("max_batch", [1, 4])
-    def test_unpicklable_task_fails_alone_at_any_batch_width(self, max_batch):
+    def test_unpicklable_task_fails_alone_at_any_batch_width(self, max_batch, frozen):
         """A task that cannot be pickled onto a worker queue surfaces as
         ``RemoteQueryError`` and frees its slot, whatever ``max_batch``."""
-        shared = publish_graph(figure1_graph())
+        header = frozen(figure1_graph())
         unpicklable = WorkerConfig(
             damping=0.8,
             iterations=10,
@@ -389,20 +368,17 @@ class TestOneDispatchPath:
             discriminator_params=(("hook", lambda: None),),
         )
         task = dict(
-            header=shared.header,
+            header=header,
             query_ids=(1, 2),
             context_size=3,
             alpha=0.05,
             rng_seed=123,
         )
-        try:
-            with ProcessWorkerPool(1, max_batch=max_batch) as pool:
-                with pytest.raises(RemoteQueryError):
-                    pool.run(config=unpicklable, **task)
-                assert pool.stats().inflight == 0
-                assert pool.run(config=_config(), **task).query == (1, 2)
-        finally:
-            shared.unlink()
+        with ProcessWorkerPool(1, max_batch=max_batch) as pool:
+            with pytest.raises(RemoteQueryError):
+                pool.run(config=unpicklable, **task)
+            assert pool.stats().inflight == 0
+            assert pool.run(config=_config(), **task).query == (1, 2)
 
 
 class TestProcessEngine:
@@ -412,7 +388,7 @@ class TestProcessEngine:
 
     @pytest.mark.slow
     def test_parity_lifecycle_and_no_segment_leaks(self, graph, tmp_path):
-        before = _segments()
+        before = _frozen_files()
         with NCEngine(
             graph,
             config=EngineConfig(context_size=3, max_workers=2, seed=5),
@@ -453,10 +429,10 @@ class TestProcessEngine:
             assert stats.workers is not None and stats.workers["workers"] == 2
             assert stats.workers["completed"] >= 2
 
-            # -- swap onto a newer snapshot: the frozen copy's segment is
+            # -- swap onto a newer snapshot: the frozen copy's file is
             # unlinked once its version drains (no request references it) --
-            first_segment = engine.pin().header.segment
-            assert f"/dev/shm/{first_segment}" in _segments()
+            first_file = engine.pin().header.path
+            assert first_file in _frozen_files()
             graph.add_edge(
                 graph.add_node("New_Entity"), "type", graph.add_node("new_type")
             )
@@ -464,33 +440,34 @@ class TestProcessEngine:
             assert engine.swap_snapshot(tmp_path / "v2.snap").swapped
             fresh = engine.search(QUERY)
             assert fresh is not outcome.result  # old version's cache purged
-            assert engine.pin().header.segment.startswith("file://")
-            assert f"/dev/shm/{first_segment}" not in _segments()
+            assert engine.pin().header.path == str(tmp_path / "v2.snap")
+            assert first_file not in _frozen_files()
+            assert (tmp_path / "v2.snap").exists()  # a served file is never unlinked
         # -- engine close unlinks everything it published ------------------
-        assert _segments() <= before
+        assert _frozen_files() <= before
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     @pytest.mark.parametrize("use", ["none", "pin", "search"])
     def test_graph_built_engine_leaves_no_segment(self, graph, executor, use):
-        before = _segments()
+        before = _frozen_files()
         engine = NCEngine(
             graph,
             config=EngineConfig(context_size=3, max_workers=1, executor=executor),
         )
         try:
-            assert len(_segments() - before) == 1  # the frozen copy
+            assert len(_frozen_files() - before) == 1  # the frozen copy
             if use == "pin":
                 engine.pin()
             elif use == "search":
                 assert engine.search(QUERY).results
         finally:
             engine.close()
-        assert _segments() <= before
+        assert _frozen_files() <= before
 
     def test_stale_redispatch_holds_its_pin(self, tmp_path, monkeypatch):
         """A stale re-dispatch runs on a pin it holds a reference to.
 
-        The first dispatch swaps v1 -> v2 and reports its segment stale;
+        The first dispatch swaps v1 -> v2 and reports its snapshot stale;
         the re-dispatch then observes the fresh v2 pin's in-flight count
         and swaps again, v2 -> v3, while it still runs on v2.
         """
@@ -510,7 +487,7 @@ class TestProcessEngine:
                 dispatched.append(kwargs["header"].version)
                 if len(dispatched) == 1:
                     engine.swap_snapshot(registry.open_view(2))
-                    raise StaleSnapshotError("segment retired before attach")
+                    raise StaleSnapshotError("snapshot retired before attach")
                 observed["inflight"] = engine.pin().lifecycle.inflight
                 engine.swap_snapshot(registry.open_view(3))
                 observed["drained"] = engine.stats().drained_versions

@@ -314,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-window-ms",
         type=float,
         default=0.0,
-        help="process executor only: gather concurrent same-snapshot "
-        "requests for up to this many milliseconds into one worker "
-        "micro-batch (0 = dispatch whatever is already queued)",
+        help="process executor only: an idle worker gets a request at "
+        "once; while every worker is busy, gather same-snapshot requests "
+        "for up to this many milliseconds into one worker micro-batch",
     )
     serve.add_argument(
         "--max-batch",

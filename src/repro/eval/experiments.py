@@ -234,23 +234,30 @@ def query_size_sweep(
 TIMING_REPEATS = 5
 
 
-def _timed_select(make_selector, query: tuple, context_size: int, repeats: int) -> list:
-    """``[median, repeats, q1, q3]`` seconds of ``repeats`` ``select`` calls.
+def _timed_selects(points: list, repeats: int) -> list:
+    """``[median, repeats, q1, q3]`` seconds per ``(make_selector, query,
+    context_size)`` point, over ``repeats`` ``select`` calls each.
 
-    Each call gets a fresh selector from ``make_selector``, seeded the same
-    way, so every repeat does the same work and only the host's noise
-    differs between them.
+    The calls are interleaved: each round times one call per point, so a
+    slow spell on the host lands on every point alike instead of on one
+    point's whole block. Each call gets a fresh selector from
+    ``make_selector``, seeded the same way, so every repeat does the same
+    work and only the host's noise differs between them.
     """
     if repeats < 1:
         raise ExperimentError(f"repeats must be >= 1, got {repeats}")
-    seconds = []
+    seconds: "list[list[float]]" = [[] for _ in points]
     for _ in range(repeats):
-        selector = make_selector()
-        started = time.perf_counter()
-        selector.select(query, context_size)
-        seconds.append(time.perf_counter() - started)
-    q1, median, q3 = np.percentile(seconds, [25, 50, 75]).tolist()
-    return [median, repeats, q1, q3]
+        for samples, (make_selector, query, context_size) in zip(seconds, points):
+            selector = make_selector()
+            started = time.perf_counter()
+            selector.select(query, context_size)
+            samples.append(time.perf_counter() - started)
+    timings = []
+    for samples in seconds:
+        q1, median, q3 = np.percentile(samples, [25, 50, 75]).tolist()
+        timings.append([median, repeats, q1, q3])
+    return timings
 
 
 def time_vs_query_size(
@@ -270,6 +277,8 @@ def time_vs_query_size(
 
     ``seconds`` is the median of ``repeats`` calls, each on a fresh
     seeded selector; ``q1_seconds`` and ``q3_seconds`` are their quartiles.
+    The calls run in rounds of one per row, so host noise spreads evenly
+    over the rows.
     """
     setting = setting or ExperimentSetting(pagerank_backend=pagerank_backend)
     setting = replace(setting, pagerank_backend=pagerank_backend)
@@ -282,18 +291,23 @@ def time_vs_query_size(
         title="Figure 5: time vs |Q|",
         float_format=".4f",
     )
+    rows = []
+    points = []
     for size in query_sizes:
         if size > len(all_ids):
             raise ExperimentError(f"domain has only {len(all_ids)} entities")
         query = tuple(all_ids[:size])
         for name in make_selectors(setting, graph):
-            timing = _timed_select(
-                lambda name=name: make_selectors(setting, graph)[name],
-                query,
-                context_size,
-                repeats,
+            rows.append([name, size])
+            points.append(
+                (
+                    lambda name=name: make_selectors(setting, graph)[name],
+                    query,
+                    context_size,
+                )
             )
-            table.add_row([name, size, *timing])
+    for row, timing in zip(rows, _timed_selects(points, repeats)):
+        table.add_row([*row, *timing])
     return table
 
 
@@ -311,6 +325,8 @@ def time_vs_path_length(
 
     ``seconds`` is the median of ``repeats`` calls, each on a fresh
     seeded selector; ``q1_seconds`` and ``q3_seconds`` are their quartiles.
+    The calls run in rounds of one per row, so host noise spreads evenly
+    over the rows.
     """
     setting = setting or ExperimentSetting()
     graph = setting.graph()
@@ -322,21 +338,26 @@ def time_vs_path_length(
         title="Figure 6: time vs max metapath length",
         float_format=".4f",
     )
+    rows = []
+    points = []
     for query_size in query_sizes:
         query = tuple(all_ids[:query_size])
         for max_length in max_lengths:
-            timing = _timed_select(
-                lambda max_length=max_length: ContextRW(
-                    graph,
-                    rng=setting.algorithm_seed,
-                    max_length=max_length,
-                    samples=samples,
-                ),
-                query,
-                100,
-                repeats,
+            rows.append([query_size, max_length])
+            points.append(
+                (
+                    lambda max_length=max_length: ContextRW(
+                        graph,
+                        rng=setting.algorithm_seed,
+                        max_length=max_length,
+                        samples=samples,
+                    ),
+                    query,
+                    100,
+                )
             )
-            table.add_row([query_size, max_length, *timing])
+    for row, timing in zip(rows, _timed_selects(points, repeats)):
+        table.add_row([*row, *timing])
     return table
 
 

@@ -41,6 +41,7 @@ the engine answers by re-dispatching against the current version.
 from __future__ import annotations
 
 import contextlib
+import glob
 import os
 import tempfile
 import weakref
@@ -240,20 +241,24 @@ def freeze_graph(graph: "KnowledgeGraph") -> "SnapshotGraphView":
 
     Writes the compiled snapshot with its transition matrix
     (:func:`~repro.disk.store.save_graph_snapshot`) to a fresh
-    ``repro-snap-v{version}-{token}.snap`` file in ``/dev/shm``, or in
-    :func:`tempfile.gettempdir` where ``/dev/shm`` does not exist, and
+    ``repro-snap-v{version}-{pid}-{token}.snap`` file in ``/dev/shm``, or
+    in :func:`tempfile.gettempdir` where ``/dev/shm`` does not exist, and
     returns :func:`~repro.disk.store.open_snapshot_view` over it. The view
     owns the file: closing it unlinks the file, and so does garbage
-    collection or interpreter exit if the view was never closed (a process
-    killed with ``SIGKILL`` leaves it behind). Later mutations of
-    ``graph`` do not reach the view, whose version stays the one frozen
-    here.
+    collection or interpreter exit if the view was never closed. A process
+    killed with ``SIGKILL`` leaves its file behind; the next freeze in that
+    directory unlinks it, since its writer's pid no longer exists. Later
+    mutations of ``graph`` do not reach the view, whose version stays the
+    one frozen here.
     """
     from repro.disk.store import open_snapshot_view, save_graph_snapshot
 
     directory = _FREEZE_DIR if os.path.isdir(_FREEZE_DIR) else tempfile.gettempdir()
+    _remove_orphans(directory)
     handle, path = tempfile.mkstemp(
-        prefix=f"repro-snap-v{graph.version}-", suffix=".snap", dir=directory
+        prefix=f"repro-snap-v{graph.version}-{os.getpid()}-",
+        suffix=".snap",
+        dir=directory,
     )
     os.close(handle)
     try:
@@ -265,6 +270,28 @@ def freeze_graph(graph: "KnowledgeGraph") -> "SnapshotGraphView":
     attached = view._attached  # noqa: SLF001 - only a freeze owns its file
     attached._unlink_file = weakref.finalize(attached, _remove_file, path)
     return view
+
+
+def _remove_orphans(directory: str) -> None:
+    """Unlink the frozen files in ``directory`` whose writer is gone."""
+    for path in glob.glob(os.path.join(directory, "repro-snap-v*-*-*.snap")):
+        pid = os.path.basename(path).split("-")[3]
+        if pid.isdigit() and not _pid_exists(int(pid)):
+            with contextlib.suppress(OSError):  # raced, or another user's
+                os.unlink(path)
+
+
+def _pid_exists(pid: int) -> bool:
+    """Whether a process ``pid`` exists on this host."""
+    if os.name != "posix":  # no signal-0 probe: keep every file
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        return True
+    return True
 
 
 def _remove_file(path: str) -> None:

@@ -270,12 +270,12 @@ class EngineConfig:
     breaker_threshold: int = 5
     breaker_reset_s: float = 30.0
     snapshot_source: "str | None" = None
-    #: Micro-batching (process executor only): the pool's dispatcher
-    #: gathers up to ``max_batch`` concurrent requests pinned to the same
-    #: snapshot for at most ``batch_window_ms`` and executes them with one
-    #: shared power iteration per worker round-trip. With ``max_batch=1``
-    #: the dispatcher sends each request alone at once; ``max_batch > 1``
-    #: with the thread executor is rejected.
+    #: Micro-batching (process executor only): idle worker, the pool's
+    #: dispatcher sends a request at once; all workers busy, it gathers
+    #: up to ``max_batch`` requests pinned to the same snapshot, for at
+    #: most ``batch_window_ms``, and executes them with one shared power
+    #: iteration per worker round-trip. With ``max_batch=1`` each request
+    #: goes alone; ``max_batch > 1`` with the thread executor is rejected.
     batch_window_ms: float = 0.0
     max_batch: int = 1
     #: Request tracing (see :mod:`repro.service.tracing`):

@@ -21,19 +21,23 @@ that execute against the served snapshot file:
   PPR transition CSR zero-copy (rebuilding it only when the file has
   none); per-request cost is one small task pickle and one result
   pickle, never the graph;
-* dispatch is round-robin over per-worker task queues, results flow back
-  as one list per batch over one shared queue drained by a collector
-  thread that resolves the parent-side jobs.
+* dispatch goes to per-worker task queues, results flow back as one
+  list per batch over one shared queue drained by a collector thread
+  that resolves the parent-side jobs.
 
 Every message is a batch, and every task takes one path to a worker:
 ``run`` appends it to a parent-side pending deque, and a dispatcher
-thread drains the deque into micro-batches — up to ``max_batch`` tasks
-pinned to the *same* snapshot file, gathered for at most
-``batch_window_ms``. With ``max_batch=1`` a pending task is already a
-full batch, so the dispatcher sends it alone at once. The worker answers
-every member's context search with a single shared multi-column power
-iteration (:meth:`~repro.core.context.RandomWalkContext.select_many`) and
-one fused distribution sweep, so per-step sparse-matmat cost and
+thread drains the deque into micro-batches of up to ``max_batch`` tasks
+pinned to the *same* snapshot file. Dispatch goes by idleness, as group
+commit does: while some worker has no batch in flight, the batch at the
+head of the deque goes to it at once, so a lone request pays no window.
+While every worker is busy, same-file tasks gather until a worker
+frees, ``max_batch`` of them are pending, or the head task has waited
+``batch_window_ms``; the last two send the batch to the least-loaded
+worker. The worker answers every member's context search with a single
+shared multi-column power iteration
+(:meth:`~repro.core.context.RandomWalkContext.select_many`) and one
+fused distribution sweep, so per-step sparse-matmat cost and
 result-transport overhead are amortized across the batch. Answers are
 byte-identical to :meth:`~repro.core.findnc.FindNC.run` on each query
 alone (``tests/test_batch_parity.py``), and a member whose deadline
@@ -294,17 +298,24 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
     """The worker process loop: attach-per-version, a batch per message.
 
     Each message is a tuple of :class:`WorkerTask` pinned to one snapshot
-    file; the reply is one list of ``(job_id, status, payload)`` entries,
-    in member order, with status ``"ok"`` (payload: the pickled
+    file; the reply is ``(worker_index, pid, entries)``, where ``entries``
+    lists ``(job_id, status, payload)`` in member order, with status
+    ``"ok"`` (payload: the pickled
     :class:`~repro.core.findnc.FindNCResult`), ``"stale"`` (the file was
     unlinked before this worker could open it) or ``"error"``
-    (payload: ``(repr, traceback string)``).
+    (payload: ``(repr, traceback string)``). The slot and pid let the
+    parent free the slot only when its current process answers.
     """
     from repro.core.context import RandomWalkContext  # heavy import, worker-local
 
     # Chaos-test transport: the env var is the only channel that crosses
     # the spawn boundary, so workers arm their faults from it at startup.
     faults.install_from_env()
+
+    pid = os.getpid()
+
+    def reply(entries: list) -> None:
+        result_queue.put((worker_index, pid, entries))
 
     attached = None
     attached_path: str | None = None
@@ -377,7 +388,7 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
             # queue transport are paid once per batch, not per member. No
             # local keeps the outcomes, so nothing outlives the reply to
             # pin this file's mapping when the next message re-attaches.
-            result_queue.put(
+            reply(
                 _replies(
                     members,
                     execute_batch(
@@ -395,14 +406,10 @@ def _worker_main(worker_index: int, task_queue, result_queue) -> None:
             attached_path = None
             view = None
             selector = None
-            result_queue.put(
-                [(member.job_id, "stale", None) for member in members]
-            )
+            reply([(member.job_id, "stale", None) for member in members])
         except BaseException as error:  # noqa: BLE001 - forwarded to the parent
             payload = (repr(error), traceback.format_exc())
-            result_queue.put(
-                [(member.job_id, "error", payload) for member in members]
-            )
+            reply([(member.job_id, "error", payload) for member in members])
 
     # Orderly shutdown: release the mapping before the interpreter exits.
     selector = None
@@ -471,7 +478,7 @@ class WorkerPoolStats:
 
 
 class ProcessWorkerPool:
-    """Round-robin pool of persistent FindNC worker processes.
+    """Pool of persistent FindNC worker processes, dispatched by idleness.
 
     ``run`` is safe to call from many threads (the engine's thread pool
     is the dispatch layer); each call blocks until its worker answers.
@@ -488,9 +495,11 @@ class ProcessWorkerPool:
 
     Dispatch: ``run`` enqueues every task onto a pending deque, and a
     dispatcher thread groups them by snapshot file into batches of up
-    to ``max_batch``, waiting at most ``batch_window_ms`` for stragglers
-    once a task is pending. With the default ``max_batch=1`` each task is
-    a full batch on arrival and goes out alone at once.
+    to ``max_batch``. Idle worker: the head batch is sent at once. All
+    workers busy: same-file tasks gather until a worker frees, up to
+    ``max_batch``, at most ``batch_window_ms`` after the head task
+    arrived. With the default ``max_batch=1`` each task is a full batch
+    on arrival and goes out alone at once.
     ``on_batch`` is an optional callback ``(size: int)`` fired per
     dispatched batch (the engine wires it to a batch-size histogram).
     """
@@ -541,7 +550,9 @@ class ProcessWorkerPool:
         self._lock = threading.Lock()
         self._jobs: dict[int, _Job] = {}
         self._job_ids = itertools.count(1)
-        self._round_robin = 0
+        #: Batches sent to each slot's current process and not yet
+        #: answered; a slot at 0 is idle.
+        self._busy = [0] * workers
         self._dispatched = 0
         self._completed = 0
         self._stale_retries = 0
@@ -551,11 +562,12 @@ class ProcessWorkerPool:
         self._deadline_abandons = 0
         self._closed = False
         self._max_batch = max_batch
-        self._batch_window_s = batch_window_ms / 1000.0
+        self._batch_window_ns = int(batch_window_ms * 1_000_000)
         self._on_batch = on_batch
         self._batches = 0
         self._batched_members = 0
-        self._pending: "deque[tuple[int, WorkerTask]]" = deque()
+        #: ``(job_id, task, enqueued_ns)`` in arrival order.
+        self._pending: "deque[tuple[int, WorkerTask, int]]" = deque()
         self._batch_cond = threading.Condition(self._lock)
         self._dispatcher = threading.Thread(
             target=self._dispatch_batches, name="nc-batch-dispatcher", daemon=True
@@ -591,7 +603,7 @@ class ProcessWorkerPool:
         """Replace ``dead`` with a fresh worker so its slot keeps serving.
 
         Without this, a single worker crash would permanently fail every
-        job round-robined onto its slot. Jobs already queued to the dead
+        job dispatched onto its slot. Jobs already queued to the dead
         worker are lost (their callers' watchdogs surface
         :class:`WorkerCrashError`); new dispatches get the replacement.
         Idempotent under races: only the caller that still finds ``dead``
@@ -626,15 +638,25 @@ class ProcessWorkerPool:
                     event = "respawn_suppressed"
                     return False
                 self._respawn_times.append(now)
-                process, task_queue = self._spawn(slot)
-                self._processes[slot] = process
-                self._task_queues[slot] = task_queue
-                self._respawns += 1
+                self._replace(slot)
                 event = "respawn"
                 return True
         finally:
             if event is not None:
                 self._emit(event)
+
+    def _replace(self, slot: int) -> None:
+        """Start a fresh worker in ``slot``; the caller holds the lock.
+
+        The batches lost with the dead process will never be answered,
+        so the slot starts idle, and the dispatcher is woken to use it.
+        """
+        process, task_queue = self._spawn(slot)
+        self._processes[slot] = process
+        self._task_queues[slot] = task_queue
+        self._busy[slot] = 0
+        self._respawns += 1
+        self._batch_cond.notify()
 
     def revive(self) -> int:
         """Respawn every dead slot now, resetting the rate-limit window.
@@ -653,10 +675,7 @@ class ProcessWorkerPool:
             for slot, process in enumerate(self._processes):
                 if process.is_alive():
                     continue
-                replacement, task_queue = self._spawn(slot)
-                self._processes[slot] = replacement
-                self._task_queues[slot] = task_queue
-                self._respawns += 1
+                self._replace(slot)
                 revived += 1
         self._emit("respawn", revived)
         return revived
@@ -731,7 +750,7 @@ class ProcessWorkerPool:
             # watchdog below stays out of the way.
             job = _Job()
             self._jobs[job_id] = job
-            self._pending.append((job_id, task))
+            self._pending.append((job_id, task, enqueued_ns))
             self._batch_cond.notify()
             self._dispatched += 1
         self._emit("dispatch")
@@ -800,7 +819,7 @@ class ProcessWorkerPool:
                         end_ns=dispatched_ns,
                         parent=trace_span,
                         attributes={
-                            "window_ms": self._batch_window_s * 1000.0,
+                            "window_ms": self._batch_window_ns / 1e6,
                             "max_batch": self._max_batch,
                         },
                     )
@@ -852,51 +871,67 @@ class ProcessWorkerPool:
         """Drain pending tasks into file-grouped micro-batches.
 
         Runs on the dedicated dispatcher thread, the one path from ``run``
-        to a worker queue. Once a task is pending, up to
-        ``batch_window_ms`` is spent gathering same-file companions —
-        the window caps queueing latency, ``max_batch`` caps batch size,
-        and a batch that is already full (every lone task at
-        ``max_batch=1``) goes out without waiting.
+        to a worker queue. A batch is the head task plus the next pending
+        tasks pinned to the same snapshot file, up to ``max_batch``; tasks
+        for another file keep their arrival order and form a later batch.
+        When it goes out depends on the workers, as in group commit:
+
+        * idle worker (a slot with no batch in flight): the batch is sent
+          to it at once, so a lone task pays no window;
+        * all workers busy: same-file tasks gather until a slot frees
+          (the collector wakes this thread), ``max_batch`` of them are
+          pending, or the head task has waited ``batch_window_ms``; the
+          last two send the batch to the least-loaded slot, where it
+          queues behind the batches in flight.
+
+        A slot whose process died with a batch in flight stays busy until
+        it is respawned, so work flows to the live slots. With every slot
+        dead, the window still sends each batch to a dead slot, whose
+        callers' watchdogs raise :class:`WorkerCrashError`.
+
         Entries whose job id is no longer registered were shed by their
         caller's deadline while queued; they are dropped member-by-member
-        without disturbing the rest of the batch. Tasks pinned to a
-        different file than the batch head keep their arrival order
-        and form the next batch.
+        without disturbing the rest of the batch.
 
         Graceful drain: ``close()`` sets ``_closed`` and joins this
         thread *before* sending worker shutdown sentinels. Observing
-        ``_closed`` here cuts the gather window short but still flushes
-        every already-gathered member to the worker queues — the thread
-        only exits once the pending deque is empty, so a request accepted
+        ``_closed`` here cuts the gather short but still flushes every
+        already-gathered member to the worker queues — the thread only
+        exits once the pending deque is empty, so a request accepted
         before ``close()`` completes instead of being dropped
         (regression-pinned in ``tests/test_service_workers.py``).
         """
         while True:
             with self._batch_cond:
-                while not self._pending and not self._closed:
-                    self._batch_cond.wait()
-                if self._closed and not self._pending:
-                    return
-                window_until = time.monotonic() + self._batch_window_s
                 while True:
-                    live = deque(
+                    self._pending = deque(
                         entry for entry in self._pending if entry[0] in self._jobs
                     )
-                    self._pending = live
-                    if not live:
+                    if not self._pending:
+                        if self._closed:
+                            return
+                        self._batch_cond.wait()
+                        continue
+                    if 0 in self._busy:
+                        slot = self._busy.index(0)
                         break
-                    head_path = live[0][1].header.path
+                    head_path = self._pending[0][1].header.path
                     ready = sum(
-                        1 for _, task in live if task.header.path == head_path
+                        task.header.path == head_path for _, task, _ in self._pending
                     )
-                    remaining = window_until - time.monotonic()
-                    if ready >= self._max_batch or remaining <= 0 or self._closed:
+                    waited_ns = time.monotonic_ns() - self._pending[0][2]
+                    if (
+                        ready >= self._max_batch
+                        or waited_ns >= self._batch_window_ns
+                        or self._closed
+                    ):
+                        slot = self._busy.index(min(self._busy))
                         break
-                    self._batch_cond.wait(timeout=remaining)
-                if not self._pending:
-                    continue
+                    self._batch_cond.wait(
+                        timeout=(self._batch_window_ns - waited_ns) / 1e9
+                    )
                 picked: list = []
-                kept: "deque[tuple[int, WorkerTask]]" = deque()
+                kept: "deque[tuple[int, WorkerTask, int]]" = deque()
                 head_path = self._pending[0][1].header.path
                 for entry in self._pending:
                     if (
@@ -907,11 +942,11 @@ class ProcessWorkerPool:
                     else:
                         kept.append(entry)
                 self._pending = kept
-                slot = self._round_robin % self.workers
-                self._round_robin += 1
+                self._busy[slot] += 1
                 process = self._processes[slot]
+                task_queue = self._task_queues[slot]
                 dispatched_ns = time.monotonic_ns()
-                for job_id, _task in picked:
+                for job_id, _task, _enqueued in picked:
                     job = self._jobs.get(job_id)
                     if job is not None:
                         job.process = process
@@ -925,10 +960,13 @@ class ProcessWorkerPool:
                 except Exception:  # noqa: BLE001 - observability is best-effort
                     pass
             try:
-                self._task_queues[slot].put(tuple(task for _, task in picked))
+                task_queue.put(tuple(task for _, task, _ in picked))
             except BaseException as error:  # noqa: BLE001 - resolve all members
+                with self._lock:
+                    if self._processes[slot] is process:  # nothing was sent
+                        self._busy[slot] -= 1
                 payload = (repr(error), traceback.format_exc())
-                for job_id, _task in picked:
+                for job_id, _task, _enqueued in picked:
                     job = self._abandon(job_id)
                     if job is not None:
                         job.status = "error"
@@ -943,19 +981,27 @@ class ProcessWorkerPool:
             if message is None:
                 break
             # A batch answers with one list of per-member entries (one
-            # pickle for the whole batch).
-            for job_id, status, payload in message:
-                with self._lock:
-                    # An abandoned job (deadline or crash watchdog) is no
-                    # longer registered: its late result is dropped here.
+            # pickle for the whole batch), tagged with its sender.
+            slot, pid, entries = message
+            with self._lock:
+                if self._processes[slot].pid == pid:
+                    # A reply from a process already replaced is not
+                    # counted: the respawn reset its slot to idle.
+                    self._busy[slot] -= 1
+                    self._batch_cond.notify()
+                # An abandoned job (deadline or crash watchdog) is no
+                # longer registered: its late result is dropped here.
+                resolved = []
+                for job_id, status, payload in entries:
                     job = self._jobs.pop(job_id, None)
                     if job is not None:
-                        self._completed += 1
-                if job is not None:
-                    job.status = status
-                    job.payload = payload
-                    job.event.set()
-                    self._emit("complete")
+                        resolved.append((job, status, payload))
+                self._completed += len(resolved)
+            for job, status, payload in resolved:
+                job.status = status
+                job.payload = payload
+                job.event.set()
+            self._emit("complete", len(resolved))
 
     # -- lifecycle ---------------------------------------------------------
 

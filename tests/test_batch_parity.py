@@ -22,6 +22,7 @@ against its solo counterpart:
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.core.discrimination import MultinomialDiscriminator
 from repro.core.findnc import FindNC
 from repro.datasets.figure1 import figure1_graph
 from repro.parallel.shm import StaleSnapshotError
+from repro.service import faults
 from repro.service.tracing import WorkerSpanRecorder
 from repro.service.workers import (
     ProcessWorkerPool,
@@ -454,7 +456,7 @@ def _run_concurrently(pool: ProcessWorkerPool, jobs: "list[tuple]") -> list:
 
 
 class TestPoolBatchParity:
-    def test_batched_pool_matches_solo_pool(self, frozen):
+    def test_batched_pool_matches_solo_pool(self, frozen, monkeypatch):
         """Solo and batched pools run the same function, so both are held
         to the independent oracle: ``FindNC.run`` in process."""
         graph = figure1_graph()
@@ -463,12 +465,28 @@ class TestPoolBatchParity:
         header = frozen(graph)
         with ProcessWorkerPool(1) as solo_pool:
             solo = [_run(solo_pool, header, q) for q in queries]
+        # The batched pool's only worker stalls on the first query, so the
+        # other three gather into one batch behind it instead of each
+        # going out at once to an idle worker.
+        monkeypatch.setenv(faults.FAULTS_ENV, "worker.slow=1:1.0:1")
         with ProcessWorkerPool(
             1, batch_window_ms=80.0, max_batch=4
         ) as batched_pool:
-            got = _run_concurrently(
-                batched_pool, [(header, q) for q in queries]
+            monkeypatch.delenv(faults.FAULTS_ENV)
+            first: list = []
+            holder = threading.Thread(
+                target=lambda: first.append(_run(batched_pool, header, queries[0]))
             )
+            holder.start()
+            deadline = time.monotonic() + 10.0
+            while batched_pool.stats().batches < 1:
+                assert time.monotonic() < deadline, "first query never dispatched"
+                time.sleep(0.005)
+            rest = _run_concurrently(
+                batched_pool, [(header, q) for q in queries[1:]]
+            )
+            holder.join(timeout=30)
+            got = first + rest
             stats = batched_pool.stats()
         assert [_payload(r) for r in solo] == expected
         assert [_payload(r) for r in got] == expected

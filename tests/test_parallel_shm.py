@@ -348,7 +348,9 @@ class TestFreezeGraph:
 
         view = freeze_graph(fig1_graph)
         path = view._attached.header.path
-        assert os.path.basename(path).startswith(f"repro-snap-v{fig1_graph.version}-")
+        assert os.path.basename(path).startswith(
+            f"repro-snap-v{fig1_graph.version}-{os.getpid()}-"
+        )
         assert path.endswith(".snap")
         assert os.path.exists(path)
         assert view.frozen and view.version == fig1_graph.version
@@ -404,6 +406,43 @@ class TestFreezeGraph:
         path = result.stdout.strip()
         assert os.path.basename(path).startswith("repro-snap-v")
         assert not os.path.exists(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+    def test_next_freeze_removes_a_killed_writers_file(self, fig1_graph):
+        """A writer killed with ``SIGKILL`` cannot unlink its frozen file:
+        the next freeze removes it, and keeps the files of live writers."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        probe = (
+            "import time\n"
+            "from repro.datasets.figure1 import figure1_graph\n"
+            "from repro.parallel.shm import freeze_graph\n"
+            "view = freeze_graph(figure1_graph())\n"
+            "print(view._attached.header.path, flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        writer = subprocess.Popen(
+            [sys.executable, "-c", probe],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            orphan = writer.stdout.readline().strip()
+        finally:
+            writer.kill()
+            writer.wait(timeout=30)
+            writer.stdout.close()
+        assert f"-{writer.pid}-" in os.path.basename(orphan)
+        assert os.path.exists(orphan)
+        own = freeze_graph(fig1_graph)
+        try:
+            assert not os.path.exists(orphan)
+            later = freeze_graph(fig1_graph)
+            assert os.path.exists(own._attached.header.path)  # writer alive
+            later.close()
+        finally:
+            own.close()
 
     def test_falls_back_to_the_temp_directory(self, fig1_graph, tmp_path, monkeypatch):
         monkeypatch.setattr(shm, "_FREEZE_DIR", str(tmp_path / "no-such-tmpfs"))

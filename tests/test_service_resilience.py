@@ -388,27 +388,44 @@ def _worker_config() -> WorkerConfig:
     )
 
 
+def _await_batches(pool: ProcessWorkerPool, count: int) -> None:
+    """Block until the pool has dispatched ``count`` batches."""
+    deadline = time.monotonic() + 10.0
+    while pool.stats().batches < count:
+        assert time.monotonic() < deadline, "the batch was never dispatched"
+        time.sleep(0.005)
+
+
 class TestBatchWindowDeadlines:
     """A deadline expiring inside the batch window sheds only that member."""
 
-    def test_expiry_in_the_window_sheds_that_member_only(self, graph, frozen):
+    def test_expiry_in_the_window_sheds_that_member_only(
+        self, graph, frozen, monkeypatch
+    ):
         header = frozen(graph)
+        # The only worker stalls on a first task, so the next two gather
+        # in the window instead of going out at once.
+        monkeypatch.setenv(faults.FAULTS_ENV, "worker.slow=1:1.0:1")
         with ProcessWorkerPool(
             1, watchdog_tick=0.05, batch_window_ms=600.0, max_batch=8
         ) as pool:
-            survivor: dict = {}
+            monkeypatch.delenv(faults.FAULTS_ENV)
+            outcomes: dict = {}
 
-            def _survivor() -> None:
-                survivor["result"] = pool.run(
+            def _run_into(key: str, query_ids: "tuple[int, ...]") -> None:
+                outcomes[key] = pool.run(
                     header=header,
-                    query_ids=(2,),
+                    query_ids=query_ids,
                     context_size=3,
                     alpha=0.05,
                     rng_seed=123,
                     config=_worker_config(),
                 )
 
-            thread = threading.Thread(target=_survivor)
+            holder = threading.Thread(target=_run_into, args=("holder", (1,)))
+            holder.start()
+            _await_batches(pool, 1)
+            thread = threading.Thread(target=_run_into, args=("survivor", (2,)))
             thread.start()
             time.sleep(0.1)  # the survivor is queued, the window is open
             started = time.monotonic()
@@ -427,14 +444,16 @@ class TestBatchWindowDeadlines:
             # Surfaced at its own deadline, not at window close.
             assert time.monotonic() - started < 0.45
             thread.join(timeout=15)
+            holder.join(timeout=15)
             stats = pool.stats()
         # The batchmate was not shed with it: it dispatched (alone) and
         # completed after the window closed.
-        assert survivor["result"].query == (2,)
+        assert outcomes["holder"].query == (1,)
+        assert outcomes["survivor"].query == (2,)
         assert stats.deadline_abandons == 1
-        assert stats.batches == 1
-        assert stats.batched_members == 1  # the shed member never dispatched
-        assert stats.completed == 1
+        assert stats.batches == 2  # the holder's, then the survivor's
+        assert stats.batched_members == 2  # the shed member never dispatched
+        assert stats.completed == 2
         assert stats.inflight == 0
 
 
@@ -451,7 +470,7 @@ class TestBatchChaos:
             graph,
             config=EngineConfig(context_size=3, max_workers=1, seed=5),
         ) as thread_engine:
-            expected = [thread_engine.search(q) for q in queries]
+            expected = [thread_engine.search(q) for q in [QUERY, *queries]]
         monkeypatch.setenv(faults.FAULTS_ENV, "worker.crash=1")
         with NCEngine(
             graph,
@@ -470,10 +489,15 @@ class TestBatchChaos:
                 engine, 1, batch_window_ms=80.0, max_batch=4
             )  # spawns the (armed) worker now
             monkeypatch.delenv(faults.FAULTS_ENV)
-            # The whole first batch dies with its worker; every member is
-            # retried on the (healthy) replacement and must answer exactly
-            # what a solo thread engine computes — zero wrong answers.
-            futures = [engine.submit(q)[0] for q in queries]
+            # A first request takes the only worker, so the three queries
+            # gather into one batch queued behind it. The worker dies on
+            # its first message and the whole batch dies with it; every
+            # request is retried on the (healthy) replacement and must
+            # answer exactly what a solo thread engine computes — zero
+            # wrong answers.
+            holder = engine.submit(QUERY)[0]
+            _await_batches(pool, 1)
+            futures = [holder] + [engine.submit(q)[0] for q in queries]
             results = [future.result(timeout=30) for future in futures]
             for got, exp in zip(results, expected):
                 assert [r.score for r in got.results] == [
@@ -504,18 +528,22 @@ class TestBatchChaos:
                 engine, 1, batch_window_ms=250.0, max_batch=4
             )
             monkeypatch.delenv(faults.FAULTS_ENV)
-            # Both members join one batch; the worker stalls 1.2s on it.
-            # The victim's 0.4s deadline expires mid-batch: it must 504
+            # A first request takes the only worker, which stalls 1.2s on
+            # it; both members join one batch queued behind it. The
+            # victim's 0.4s deadline expires mid-batch: it must 504
             # (timeouts + deadline_abandons move by exactly one) while its
             # batchmate rides out the stall and completes normally.
+            holder, *_ = engine.submit(["Barack_Obama"])
+            _await_batches(pool, 1)
             victim, *_ = engine.submit(QUERY, timeout=0.4)
             survivor, *_ = engine.submit(["Vladimir_Putin"])
             with pytest.raises(DeadlineExceededError):
                 victim.result(timeout=10)
             assert survivor.result(timeout=10).results
+            assert holder.result(timeout=10).results
             stats = engine.stats()
             assert stats.timeouts == 1
             assert stats.workers["deadline_abandons"] == 1
-            assert stats.workers["batches"] == 1
-            assert stats.workers["batched_members"] == 2
-            assert stats.workers["completed"] == 1
+            assert stats.workers["batches"] == 2  # the holder's, then both
+            assert stats.workers["batched_members"] == 3
+            assert stats.workers["completed"] == 2

@@ -279,34 +279,65 @@ class TestPoolDeadlines:
             ProcessWorkerPool(1, **kwargs)
 
 
+def _run(pool, header, query_ids=(1, 2)):
+    return pool.run(
+        header=header,
+        query_ids=query_ids,
+        context_size=3,
+        alpha=0.05,
+        rng_seed=123,
+        config=_config(),
+    )
+
+
+def _stalling_pool(monkeypatch, stall_s: float, **kwargs) -> ProcessWorkerPool:
+    """A one-worker pool whose worker stalls ``stall_s`` on its first batch."""
+    monkeypatch.setenv(faults.FAULTS_ENV, f"worker.slow=1:{stall_s}:1")
+    pool = ProcessWorkerPool(1, **kwargs)
+    monkeypatch.delenv(faults.FAULTS_ENV)
+    return pool
+
+
+def _occupy(pool, header, results: list) -> threading.Thread:
+    """Run one task on a thread; return once it is on the worker.
+
+    From then on the pool's only worker is busy until that task answers,
+    so later tasks gather instead of going out at once.
+    """
+    thread = threading.Thread(target=lambda: results.append(_run(pool, header)))
+    thread.start()
+    deadline = time.monotonic() + 10.0
+    while pool.stats().batches < 1:
+        if time.monotonic() > deadline:
+            pytest.fail("the first task was never dispatched")
+        time.sleep(0.005)
+    return thread
+
+
 class TestDispatcherDrain:
-    def test_close_flushes_gathered_batch_members(self, frozen):
+    def test_close_flushes_gathered_batch_members(self, frozen, monkeypatch):
         """Members sitting in the gather window survive ``close()``.
 
         Regression: the dispatcher used to exit as soon as ``_closed``
         was observed, dropping already-accepted tasks still waiting out
         the batch window — their callers then failed with "worker pool
-        closed" even though the pool had acknowledged the work. The
-        window here is far longer than the test, so every member is
-        still gathered (not dispatched) when ``close()`` lands.
+        closed" even though the pool had acknowledged the work. The only
+        worker is held by a stalled first task, and the window is far
+        longer than the test, so every member is still gathered (not
+        dispatched) when ``close()`` lands.
         """
-        pool = ProcessWorkerPool(1, max_batch=8, batch_window_ms=60_000.0)
+        pool = _stalling_pool(
+            monkeypatch, 2.0, max_batch=8, batch_window_ms=60_000.0
+        )
         header = frozen(figure1_graph())
+        held: "list" = []
+        holder = _occupy(pool, header, held)
         results: "list" = []
         errors: "list[BaseException]" = []
 
         def submit() -> None:
             try:
-                results.append(
-                    pool.run(
-                        header=header,
-                        query_ids=(1, 2),
-                        context_size=3,
-                        alpha=0.05,
-                        rng_seed=123,
-                        config=_config(),
-                    )
-                )
+                results.append(_run(pool, header))
             except BaseException as error:  # noqa: BLE001 - asserted below
                 errors.append(error)
 
@@ -324,13 +355,119 @@ class TestDispatcherDrain:
             pytest.fail("members never reached the gather window")
 
         pool.close()
-        for thread in threads:
+        for thread in (holder, *threads):
             thread.join(timeout=60.0)
+        assert not holder.is_alive() and held[0].query == (1, 2)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, f"flushed members failed: {errors!r}"
         assert len(results) == len(threads)
         assert all(result.query == (1, 2) for result in results)
         assert all(result.results for result in results)
+
+
+class TestIdleFirstDispatch:
+    """A free worker takes a task at once; the window bounds only the
+    wait for a busy pool."""
+
+    WINDOW_MS = 2000.0
+
+    def test_idle_pool_sends_a_lone_task_at_once(self, frozen):
+        header = frozen(figure1_graph())
+        with ProcessWorkerPool(
+            1, max_batch=8, batch_window_ms=self.WINDOW_MS
+        ) as pool:
+            _run(pool, header)  # pays the spawn and the attach
+            started = time.monotonic()
+            assert _run(pool, header).query == (1, 2)
+            elapsed = time.monotonic() - started
+        assert elapsed < self.WINDOW_MS / 1000.0 / 4
+
+    def test_busy_pool_gathers_until_the_worker_frees(self, frozen, monkeypatch):
+        """With a window far past the test, only the freed worker can
+        release the gathered tasks, and it takes them as one batch."""
+        pool = _stalling_pool(
+            monkeypatch, 1.5, max_batch=8, batch_window_ms=60_000.0
+        )
+        header = frozen(figure1_graph())
+        try:
+            held: "list" = []
+            holder = _occupy(pool, header, held)
+            results: "list" = []
+            threads = [
+                threading.Thread(
+                    target=lambda q=q: results.append(_run(pool, header, q))
+                )
+                for q in ((1,), (2,), (1, 2))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in (holder, *threads):
+                thread.join(timeout=30.0)
+            assert not any(t.is_alive() for t in (holder, *threads))
+            stats = pool.stats()
+        finally:
+            pool.close()
+        assert held[0].query == (1, 2)
+        assert sorted(result.query for result in results) == [(1,), (1, 2), (2,)]
+        assert stats.batches == 2
+        assert stats.batched_members == 4
+
+    @pytest.mark.chaos
+    def test_respawned_slot_dispatches_at_once(self, frozen, monkeypatch):
+        """A crash leaves no stale in-flight count on the respawned slot."""
+        monkeypatch.setenv(faults.FAULTS_ENV, "worker.crash=1")
+        pool = ProcessWorkerPool(
+            1,
+            watchdog_tick=0.05,
+            crash_grace_s=0.2,
+            max_batch=8,
+            batch_window_ms=self.WINDOW_MS,
+        )
+        monkeypatch.delenv(faults.FAULTS_ENV)
+        header = frozen(figure1_graph())
+        try:
+            with pytest.raises(WorkerCrashError, match="replacement worker"):
+                _run(pool, header)
+            _run(pool, header)  # pays the replacement's spawn and attach
+            started = time.monotonic()
+            assert _run(pool, header).query == (1, 2)
+            elapsed = time.monotonic() - started
+            assert pool.stats().respawns == 1
+        finally:
+            pool.close()
+        assert elapsed < self.WINDOW_MS / 1000.0 / 4
+
+    @pytest.mark.chaos
+    def test_every_slot_dead_still_raises_crash(self, frozen):
+        """With respawn suppressed, the window sends work to the dead
+        slot and the watchdog fails it instead of the task hanging."""
+        pool = ProcessWorkerPool(
+            1,
+            watchdog_tick=0.05,
+            crash_grace_s=0.2,
+            respawn_limit=1,
+            respawn_window_s=60.0,
+            max_batch=8,
+            batch_window_ms=1000.0,
+        )
+        header = frozen(figure1_graph())
+        try:
+            for outcome in ("replacement worker", "suppressed", "suppressed"):
+                pool._processes[0].kill()
+                pool._processes[0].join(timeout=10)
+                started = time.monotonic()
+                with pytest.raises(WorkerCrashError, match=outcome):
+                    _run(pool, header)
+                assert time.monotonic() - started < 5.0
+            assert pool.stats().alive == 0
+            # revive() starts the slot idle again: a lone task goes at once.
+            assert pool.revive() == 1
+            _run(pool, header)
+            started = time.monotonic()
+            assert _run(pool, header).query == (1, 2)
+            assert time.monotonic() - started < 0.5
+        finally:
+            pool.close()
 
 
 class TestOneDispatchPath:

@@ -6,9 +6,10 @@ Keys are opaque hashables; by convention the engine uses::
 
 so a graph mutation (which bumps ``graph.version``) makes every previous
 entry *unreachable* immediately — no invalidation scan is needed on the
-read path. The engine additionally calls :meth:`ResultCache.purge_versions`
-when it re-pins to a new version, reclaiming the dead entries' memory
-eagerly instead of waiting for LRU pressure to evict them.
+read path. :meth:`~repro.service.engine.NCEngine.swap_snapshot`
+additionally calls :meth:`ResultCache.purge_versions` for the new
+version, reclaiming the dead entries' memory eagerly instead of waiting
+for LRU pressure to evict them.
 
 All operations take one internal lock; values are returned as-is (cached
 :class:`~repro.core.findnc.FindNCResult` objects are shared across
@@ -21,6 +22,8 @@ import threading
 from collections import OrderedDict
 from collections.abc import Hashable
 from dataclasses import dataclass
+
+from repro.service.metrics import ServiceMetrics
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,7 @@ class CacheStats:
         return self.hits / lookups if lookups else 0.0
 
     def as_dict(self) -> dict:
-        """The JSON shape embedded in the engine's ``/stats`` payload."""
+        """The JSON shape embedded in the engine's ``/v1/stats`` payload."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -54,7 +57,7 @@ class CacheStats:
 
 
 class ResultCache:
-    """An LRU mapping with hit/miss/eviction accounting.
+    """An LRU mapping that counts hits, misses, evictions and purges.
 
     >>> cache = ResultCache(maxsize=2)
     >>> cache.put((1, "a"), "ra"); cache.put((1, "b"), "rb")
@@ -66,32 +69,20 @@ class ResultCache:
     >>> cache.stats().evictions
     1
 
-    ``on_event`` is an optional instrumentation callback
-    ``(event: str, count: int)`` invoked *outside* the cache lock for
-    ``"hit"``, ``"miss"``, ``"eviction"`` and ``"purged"`` events (the
-    engine wires it to its metrics registry); a raising callback is
-    swallowed — instrumentation must never break the serving path.
+    The events are counted into ``metrics.cache_events``: the engine
+    passes its own :class:`~repro.service.metrics.ServiceMetrics`, and a
+    cache built without one counts into a fresh bundle of its own.
     """
 
-    def __init__(self, maxsize: int = 256, on_event=None) -> None:
+    def __init__(
+        self, maxsize: int = 256, *, metrics: "ServiceMetrics | None" = None
+    ) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self._on_event = on_event
+        self._events = (metrics or ServiceMetrics()).cache_events
         self._lock = threading.Lock()
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._purged = 0
-
-    def _emit(self, event: str, count: int = 1) -> None:
-        if self._on_event is None or count <= 0:
-            return
-        try:
-            self._on_event(event, count)
-        except Exception:  # noqa: BLE001 - observability is best-effort
-            pass
 
     def get(self, key: Hashable) -> object | None:
         """The cached value for ``key`` (marking it most-recent), or None."""
@@ -99,14 +90,12 @@ class ResultCache:
             try:
                 value = self._entries[key]
             except KeyError:
-                self._misses += 1
-                hit = False
                 value = None
+                event = "miss"
             else:
                 self._entries.move_to_end(key)
-                self._hits += 1
-                hit = True
-        self._emit("hit" if hit else "miss")
+                event = "hit"
+        self._events.inc(event=event)
         return value
 
     def put(self, key: Hashable, value: object) -> None:
@@ -117,9 +106,9 @@ class ResultCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-                self._evictions += 1
                 evicted += 1
-        self._emit("eviction", evicted)
+        if evicted:
+            self._events.inc(evicted, event="eviction")
 
     def purge_versions(self, keep_version: int) -> int:
         """Drop every entry whose key's version field != ``keep_version``.
@@ -137,8 +126,8 @@ class ResultCache:
             ]
             for key in stale:
                 del self._entries[key]
-            self._purged += len(stale)
-        self._emit("purged", len(stale))
+        if stale:
+            self._events.inc(len(stale), event="purged")
         return len(stale)
 
     def clear(self) -> None:
@@ -155,13 +144,13 @@ class ResultCache:
             return key in self._entries
 
     def stats(self) -> CacheStats:
-        """A point-in-time snapshot of the cache counters."""
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                purged=self._purged,
-                size=len(self._entries),
-                maxsize=self.maxsize,
-            )
+        """The cache counters, read from its metrics series, and its size."""
+        count = self._events.value
+        return CacheStats(
+            hits=int(count(event="hit")),
+            misses=int(count(event="miss")),
+            evictions=int(count(event="eviction")),
+            purged=int(count(event="purged")),
+            size=len(self),
+            maxsize=self.maxsize,
+        )

@@ -98,7 +98,7 @@ class CircuitBreaker:
     fallback instead (compute is pure, so answers stay identical; only
     throughput degrades). After ``reset_s`` the breaker allows one
     **half-open** probe per window; a probe success closes it, a probe
-    failure re-opens it. ``/healthz`` reports ``degraded`` with
+    failure re-opens it. ``/v1/healthz`` reports ``degraded`` with
     :attr:`reason` whenever the breaker is not closed.
 
     Thread-safe; ``clock`` is injectable for tests.
@@ -179,7 +179,7 @@ class CircuitBreaker:
             return self._trips
 
     def as_dict(self) -> dict:
-        """The JSON shape embedded in ``/stats``."""
+        """The JSON shape embedded in ``/v1/stats``."""
         with self._lock:
             return {
                 "state": self._state,
@@ -525,7 +525,7 @@ class EngineStats:
     breaker: "dict | None" = None
 
     def as_dict(self) -> dict:
-        """The JSON shape served by ``GET /stats``."""
+        """The JSON shape served by ``GET /v1/stats``."""
         out = {
             "requests": self.requests,
             "cache_hits": self.cache_hits,
@@ -611,9 +611,7 @@ class NCEngine:
             capacity=config.trace_buffer,
             seed=config.seed ^ 0x7ACE,
         )
-        self._cache = ResultCache(
-            maxsize=config.cache_size, on_event=self.metrics.cache_event
-        )
+        self._cache = ResultCache(maxsize=config.cache_size, metrics=self.metrics)
         # In process mode the thread pool only parks dispatching threads
         # while their batch members wait on workers — one full batch per
         # worker can be in flight at once (a narrower pool would cap batch
@@ -641,15 +639,6 @@ class NCEngine:
         self._breaker = CircuitBreaker(
             threshold=config.breaker_threshold, reset_s=config.breaker_reset_s
         )
-        self._requests = 0
-        self._hits = 0
-        self._coalesced = 0
-        self._computed = 0
-        self._timeouts = 0
-        self._backend_retries = 0
-        self._shed = 0
-        self._fallbacks = 0
-        self._swaps = 0
         self._swap_lock = threading.Lock()
         self._drained_versions: "list[int]" = []
         self._draining: "dict[int, _PinnedState]" = {}
@@ -771,8 +760,7 @@ class NCEngine:
                         self.config.max_workers,
                         batch_window_ms=self.config.batch_window_ms,
                         max_batch=self.config.max_batch,
-                        on_event=self.metrics.worker_event,
-                        on_batch=self.metrics.observe_worker_batch,
+                        metrics=self.metrics,
                     )
         return self._pool
 
@@ -885,10 +873,11 @@ class NCEngine:
             with self._pin_lock:
                 previous = self._pinned
                 old_graph = self._graph
+                # Counted before the new version is visible, so a caller
+                # that sees it also sees the swap in stats().
+                self.metrics.swaps.inc()
                 self._graph = graph
                 self._pinned = state
-                self._swaps += 1
-            self.metrics.swaps.inc()
             self._cache.purge_versions(new_version)
             if previous is not None:
                 self._retire_pin(
@@ -973,8 +962,6 @@ class NCEngine:
             else:
                 result = self._compute_local(key, query_ids, k, alpha, state)
             self._cache.put(key, result)
-            with self._flight_lock:
-                self._computed += 1
             self.metrics.computed.inc(backend=self.config.executor)
             self.metrics.compute_latency.observe(
                 time.perf_counter() - started,
@@ -985,8 +972,6 @@ class NCEngine:
             )
             return result
         except DeadlineExceededError:
-            with self._flight_lock:
-                self._timeouts += 1
             self.metrics.timeouts.inc()
             raise
         finally:
@@ -1079,8 +1064,6 @@ class NCEngine:
                     # take the current pin and go again.
                     if attempt + 1 >= attempts:
                         raise
-                    with self._flight_lock:
-                        self._backend_retries += 1
                     self.metrics.backend_retries.inc()
                     state = self._acquire_pin()
                     if redispatch_pin is not None:
@@ -1119,14 +1102,10 @@ class NCEngine:
                             ) from error
                     if sleep_s > 0:
                         time.sleep(sleep_s)
-                    with self._flight_lock:
-                        self._backend_retries += 1
                     self.metrics.backend_retries.inc()
             # Retry budget exhausted or breaker open: degraded local fallback.
             # Compute is pure, so the answer is byte-identical to a healthy
             # worker's; only latency/throughput degrade.
-            with self._flight_lock:
-                self._fallbacks += 1
             self.metrics.fallbacks.inc()
             log_event(
                 "breaker_fallback",
@@ -1219,10 +1198,8 @@ class NCEngine:
             if trace is not None:
                 trace.root.set(version_id=state.snapshot.version)
             with self._flight_lock:
-                self._requests += 1
                 cached = self._cache.get(key)
                 if cached is not None:
-                    self._hits += 1
                     if trace is not None:
                         trace.root.set(cache="hit")
                     future: Future = Future()
@@ -1230,7 +1207,6 @@ class NCEngine:
                     return future, True, False, state.snapshot.version
                 existing = self._inflight.get(key)
                 if existing is not None:
-                    self._coalesced += 1
                     self.metrics.coalesced.inc()
                     if trace is not None:
                         trace.root.set(cache="coalesced")
@@ -1239,7 +1215,6 @@ class NCEngine:
                     self.config.max_pending is not None
                     and len(self._inflight) >= self.config.max_pending
                 ):
-                    self._shed += 1
                     self.metrics.shed.inc()
                     if trace is not None:
                         trace.root.set(shed=True)
@@ -1305,8 +1280,6 @@ class NCEngine:
                     timeout=max(0.0, deadline - time.monotonic()) + grace
                 )
             except FuturesTimeoutError:
-                with self._flight_lock:
-                    self._timeouts += 1
                 self.metrics.timeouts.inc()
                 raise DeadlineExceededError(
                     f"request did not complete within {timeout:.3f}s (the "
@@ -1354,7 +1327,7 @@ class NCEngine:
         return pinned.snapshot.version if pinned is not None else None
 
     def health(self) -> dict:
-        """Liveness summary for ``/healthz``: ``ok`` or ``degraded``.
+        """Liveness summary for ``/v1/healthz``: ``ok`` or ``degraded``.
 
         ``degraded`` means the engine is still answering — cached
         results, coalesced flights, and the thread-local fallback all
@@ -1385,39 +1358,39 @@ class NCEngine:
         return revived
 
     def stats(self) -> EngineStats:
-        """A point-in-time snapshot of the engine (and worker-pool) counters."""
+        """A point-in-time snapshot of the engine (and worker-pool) counters.
+
+        Every counter is read from :attr:`metrics`, the series
+        ``GET /v1/metrics`` renders, so both report one count of each
+        event; in-flight, drain and breaker state are the engine's own.
+        """
         with self._flight_lock:
-            requests = self._requests
-            hits = self._hits
-            coalesced = self._coalesced
-            computed = self._computed
             inflight = len(self._inflight)
             drained = tuple(self._drained_versions)
             draining = tuple(sorted(self._draining))
-            timeouts = self._timeouts
-            retries = self._backend_retries
-            shed = self._shed
-            fallbacks = self._fallbacks
+        metrics = self.metrics
+        executor = self.config.executor
+        cache = self._cache.stats()
         pinned = self._pinned
         pool = self._pool
         return EngineStats(
-            requests=requests,
-            cache_hits=hits,
-            coalesced=coalesced,
-            computed=computed,
+            requests=int(metrics.engine_requests.value(executor=executor)),
+            cache_hits=cache.hits,
+            coalesced=int(metrics.coalesced.value()),
+            computed=int(metrics.computed.value(backend=executor)),
             pinned_version=pinned.snapshot.version if pinned else None,
             inflight=inflight,
             max_workers=self.config.max_workers,
-            executor=self.config.executor,
-            cache=self._cache.stats(),
+            executor=executor,
+            cache=cache,
             workers=pool.stats().as_dict() if pool is not None else None,
-            swaps=self._swaps,
+            swaps=int(metrics.swaps.value()),
             drained_versions=drained,
             draining_versions=draining,
-            timeouts=timeouts,
-            retries=retries,
-            shed=shed,
-            fallbacks=fallbacks,
+            timeouts=int(metrics.timeouts.value()),
+            retries=int(metrics.backend_retries.value()),
+            shed=int(metrics.shed.value()),
+            fallbacks=int(metrics.fallbacks.value()),
             breaker=(
                 self._breaker.as_dict() if self.config.executor == "process" else None
             ),

@@ -625,13 +625,14 @@ class ServiceMetrics:
     """The pre-registered instrument bundle for one engine + HTTP front-end.
 
     Owned by :class:`~repro.service.engine.NCEngine` (``engine.metrics``)
-    and shared with the HTTP server, which renders
-    :attr:`registry` on ``GET /v1/metrics`` and records per-route
-    counters/latency through :attr:`http_requests` /
-    :attr:`http_latency`. The cache and the worker pool stay decoupled
-    from this module — they accept plain ``on_event`` callbacks, and
-    :meth:`cache_event` / :meth:`worker_event` are the engine-provided
-    implementations that translate those events into counter series.
+    and handed to its :class:`~repro.service.cache.ResultCache` and
+    :class:`~repro.service.workers.ProcessWorkerPool`, which count their
+    events straight into :attr:`cache_events`, :attr:`worker_events` and
+    :attr:`worker_batch_size`. It is the service's only count of those
+    events: ``engine.stats()`` (``GET /v1/stats``) reads these series
+    back, and the HTTP server renders :attr:`registry` on
+    ``GET /v1/metrics`` and records per-route counters/latency through
+    :attr:`http_requests` / :attr:`http_latency`.
 
     Every exported series is documented for operators in
     ``docs/OPERATIONS.md`` ("Metrics reference").
@@ -745,18 +746,6 @@ class ServiceMetrics:
         # scrapers tolerate the clause, but the default stays 0.0.4-pure.
         self.http_latency.emit_exemplars = exemplars
         self.compute_latency.emit_exemplars = exemplars
-
-    def cache_event(self, event: str, count: int = 1) -> None:
-        """:class:`~repro.service.cache.ResultCache`'s ``on_event`` hook."""
-        self.cache_events.inc(count, event=event)
-
-    def worker_event(self, event: str, count: int = 1) -> None:
-        """:class:`~repro.service.workers.ProcessWorkerPool`'s ``on_event`` hook."""
-        self.worker_events.inc(count, event=event)
-
-    def observe_worker_batch(self, size: int) -> None:
-        """:class:`~repro.service.workers.ProcessWorkerPool`'s ``on_batch`` hook."""
-        self.worker_batch_size.observe(float(size))
 
     def render(self) -> str:
         """The registry's full Prometheus text exposition."""

@@ -333,8 +333,6 @@ class RegistryPoller(threading.Thread):
         self._lock = lock
         self._halt = threading.Event()
         self._token = registry.mtime_token()
-        #: Reloads that swapped, for tests and ``/stats`` debugging.
-        self.swapped = 0
 
     def run(self) -> None:
         """Poll until :meth:`stop`; swallow (and log) reload failures."""
@@ -357,7 +355,6 @@ class RegistryPoller(threading.Thread):
                 continue
             self._token = token
             if outcome.get("swapped"):
-                self.swapped += 1
                 log_event(
                     "registry_poll_swapped",
                     old_version=outcome["old_version"],

@@ -78,6 +78,7 @@ from repro.errors import DeadlineExceededError
 from repro.disk.store import DiskSnapshotHeader, open_snapshot
 from repro.parallel.shm import SnapshotGraphView, StaleSnapshotError
 from repro.service import faults
+from repro.service.metrics import ServiceMetrics
 from repro.service.tracing import WorkerSpanRecorder
 
 
@@ -441,7 +442,13 @@ class _Job:
 
 @dataclass(frozen=True)
 class WorkerPoolStats:
-    """A point-in-time snapshot of the pool counters."""
+    """A point-in-time snapshot of the pool counters.
+
+    :meth:`ProcessWorkerPool.stats` reads every counter from the pool's
+    metrics series: ``nc_worker_events_total`` by event, and ``batches``
+    and ``batched_members`` from the ``nc_worker_batch_size`` count and
+    sum.
+    """
 
     workers: int
     alive: int
@@ -461,7 +468,7 @@ class WorkerPoolStats:
     batched_members: int = 0
 
     def as_dict(self) -> dict:
-        """The JSON shape embedded in the engine's ``/stats`` payload."""
+        """The JSON shape embedded in the engine's ``/v1/stats`` payload."""
         return {
             "workers": self.workers,
             "alive": self.alive,
@@ -486,12 +493,14 @@ class ProcessWorkerPool:
     parameters — which is what keeps the serialization boundary at
     "a few hundred bytes per request".
 
-    ``on_event`` is an optional instrumentation callback ``(event: str,
-    count: int)`` invoked outside the pool lock for ``"dispatch"``,
-    ``"complete"``, ``"stale"``, ``"crash"``, ``"deadline_abandon"``,
-    ``"respawn"``, ``"respawn_suppressed"`` and ``"batch_dispatch"``
-    events (the engine wires it to its metrics registry); a raising
-    callback is swallowed.
+    The pool counts its events (``"dispatch"``, ``"complete"``,
+    ``"stale"``, ``"crash"``, ``"deadline_abandon"``, ``"respawn"``,
+    ``"respawn_suppressed"``, ``"batch_dispatch"``) into
+    ``metrics.worker_events`` and each batch's size into
+    ``metrics.worker_batch_size``: the engine passes its own
+    :class:`~repro.service.metrics.ServiceMetrics`, and a pool built
+    without one counts into a fresh bundle of its own. Each series is
+    incremented before the caller it concerns is woken or returns.
 
     Dispatch: ``run`` enqueues every task onto a pending deque, and a
     dispatcher thread groups them by snapshot file into batches of up
@@ -500,8 +509,6 @@ class ProcessWorkerPool:
     ``max_batch``, at most ``batch_window_ms`` after the head task
     arrived. With the default ``max_batch=1`` each task is a full batch
     on arrival and goes out alone at once.
-    ``on_batch`` is an optional callback ``(size: int)`` fired per
-    dispatched batch (the engine wires it to a batch-size histogram).
     """
 
     def __init__(
@@ -514,8 +521,7 @@ class ProcessWorkerPool:
         respawn_window_s: float = 30.0,
         batch_window_ms: float = 0.0,
         max_batch: int = 1,
-        on_event=None,
-        on_batch=None,
+        metrics: "ServiceMetrics | None" = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -537,7 +543,9 @@ class ProcessWorkerPool:
         self._crash_grace_s = crash_grace_s
         self._respawn_limit = respawn_limit
         self._respawn_window_s = respawn_window_s
-        self._on_event = on_event
+        metrics = metrics or ServiceMetrics()
+        self._events = metrics.worker_events
+        self._batch_sizes = metrics.worker_batch_size
         self._ctx = mp.get_context("spawn")
         self._result_queue = self._ctx.SimpleQueue()
         self._processes: list = []
@@ -553,19 +561,10 @@ class ProcessWorkerPool:
         #: Batches sent to each slot's current process and not yet
         #: answered; a slot at 0 is idle.
         self._busy = [0] * workers
-        self._dispatched = 0
-        self._completed = 0
-        self._stale_retries = 0
-        self._respawns = 0
         self._respawn_times: "deque[float]" = deque()
-        self._respawns_suppressed = 0
-        self._deadline_abandons = 0
         self._closed = False
         self._max_batch = max_batch
         self._batch_window_ns = int(batch_window_ms * 1_000_000)
-        self._on_batch = on_batch
-        self._batches = 0
-        self._batched_members = 0
         #: ``(job_id, task, enqueued_ns)`` in arrival order.
         self._pending: "deque[tuple[int, WorkerTask, int]]" = deque()
         self._batch_cond = threading.Condition(self._lock)
@@ -577,15 +576,6 @@ class ProcessWorkerPool:
             target=self._collect, name="nc-worker-collector", daemon=True
         )
         self._collector.start()
-
-    def _emit(self, event: str, count: int = 1) -> None:
-        """Fire the instrumentation callback; never let it break dispatch."""
-        if self._on_event is None or count <= 0:
-            return
-        try:
-            self._on_event(event, count)
-        except Exception:  # noqa: BLE001 - observability is best-effort
-            pass
 
     def _spawn(self, index: int):
         """Start one worker process with its private task queue."""
@@ -619,31 +609,24 @@ class ProcessWorkerPool:
         :class:`WorkerCrashError` and degrades instead. Returns whether
         a replacement was actually started.
         """
-        event: "str | None" = None
-        try:
-            with self._lock:
-                if self._closed:
-                    return False
-                try:
-                    slot = self._processes.index(dead)
-                except ValueError:  # another caller already replaced it
-                    return True
-                if self._processes[slot].is_alive():  # pragma: no cover - raced
-                    return True
-                now = time.monotonic()
-                while self._respawn_times and now - self._respawn_times[0] > self._respawn_window_s:
-                    self._respawn_times.popleft()
-                if len(self._respawn_times) >= self._respawn_limit:
-                    self._respawns_suppressed += 1
-                    event = "respawn_suppressed"
-                    return False
-                self._respawn_times.append(now)
-                self._replace(slot)
-                event = "respawn"
+        with self._lock:
+            if self._closed:
+                return False
+            try:
+                slot = self._processes.index(dead)
+            except ValueError:  # another caller already replaced it
                 return True
-        finally:
-            if event is not None:
-                self._emit(event)
+            if self._processes[slot].is_alive():  # pragma: no cover - raced
+                return True
+            now = time.monotonic()
+            while self._respawn_times and now - self._respawn_times[0] > self._respawn_window_s:
+                self._respawn_times.popleft()
+            if len(self._respawn_times) >= self._respawn_limit:
+                self._events.inc(event="respawn_suppressed")
+                return False
+            self._respawn_times.append(now)
+            self._replace(slot)
+            return True
 
     def _replace(self, slot: int) -> None:
         """Start a fresh worker in ``slot``; the caller holds the lock.
@@ -655,7 +638,7 @@ class ProcessWorkerPool:
         self._processes[slot] = process
         self._task_queues[slot] = task_queue
         self._busy[slot] = 0
-        self._respawns += 1
+        self._events.inc(event="respawn")
         self._batch_cond.notify()
 
     def revive(self) -> int:
@@ -677,7 +660,6 @@ class ProcessWorkerPool:
                     continue
                 self._replace(slot)
                 revived += 1
-        self._emit("respawn", revived)
         return revived
 
     # -- dispatch ----------------------------------------------------------
@@ -724,9 +706,7 @@ class ProcessWorkerPool:
             # for (this is the "queued-but-unstarted jobs are cancelled"
             # path — the engine's executor queue delay already ate the
             # whole budget).
-            with self._lock:
-                self._deadline_abandons += 1
-            self._emit("deadline_abandon")
+            self._events.inc(event="deadline_abandon")
             raise DeadlineExceededError(
                 "request deadline expired before the job could be dispatched"
             )
@@ -751,9 +731,8 @@ class ProcessWorkerPool:
             job = _Job()
             self._jobs[job_id] = job
             self._pending.append((job_id, task, enqueued_ns))
+            self._events.inc(event="dispatch")
             self._batch_cond.notify()
-            self._dispatched += 1
-        self._emit("dispatch")
         # Wait with a liveness watchdog: a worker killed mid-job would
         # otherwise leave this job waiting forever. The wait is chunked
         # by the watchdog tick and clipped to the deadline, so both a
@@ -765,9 +744,7 @@ class ProcessWorkerPool:
                 if remaining <= 0:
                     still_queued = job.process is None
                     self._abandon(job_id)
-                    with self._lock:
-                        self._deadline_abandons += 1
-                    self._emit("deadline_abandon")
+                    self._events.inc(event="deadline_abandon")
                     if still_queued:
                         # Shed THIS member only: the pending entry stays in
                         # the deque but the dispatcher drops job ids that
@@ -793,7 +770,7 @@ class ProcessWorkerPool:
                 if job.event.wait(timeout=self._crash_grace_s):
                     break
                 self._abandon(job_id)
-                self._emit("crash")
+                self._events.inc(event="crash")
                 replaced = self._respawn(process)
                 raise WorkerCrashError(
                     f"worker {process.name} died while computing job "
@@ -844,9 +821,7 @@ class ProcessWorkerPool:
                 return result
             return payload  # type: ignore[return-value]
         if job.status == "stale":
-            with self._lock:
-                self._stale_retries += 1
-            self._emit("stale")
+            self._events.inc(event="stale")
             raise StaleSnapshotError(
                 f"snapshot file {header.path!r} was gone before the worker attached"
             )
@@ -951,14 +926,8 @@ class ProcessWorkerPool:
                     if job is not None:
                         job.process = process
                         job.dispatched_ns = dispatched_ns
-                self._batches += 1
-                self._batched_members += len(picked)
-            self._emit("batch_dispatch")
-            if self._on_batch is not None:
-                try:
-                    self._on_batch(len(picked))
-                except Exception:  # noqa: BLE001 - observability is best-effort
-                    pass
+                self._events.inc(event="batch_dispatch")
+                self._batch_sizes.observe(float(len(picked)))
             try:
                 task_queue.put(tuple(task for _, task, _ in picked))
             except BaseException as error:  # noqa: BLE001 - resolve all members
@@ -996,12 +965,14 @@ class ProcessWorkerPool:
                     job = self._jobs.pop(job_id, None)
                     if job is not None:
                         resolved.append((job, status, payload))
-                self._completed += len(resolved)
+            if resolved:
+                # Counted before any waiter wakes: a run() that has
+                # returned is already in the series.
+                self._events.inc(len(resolved), event="complete")
             for job, status, payload in resolved:
                 job.status = status
                 job.payload = payload
                 job.event.set()
-            self._emit("complete", len(resolved))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -1055,18 +1026,22 @@ class ProcessWorkerPool:
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> WorkerPoolStats:
-        """Counters for ``/stats`` and the benchmark report."""
+        """Counters for ``/v1/stats`` and the benchmark report."""
         with self._lock:
-            return WorkerPoolStats(
-                workers=self.workers,
-                alive=sum(1 for p in self._processes if p.is_alive()),
-                dispatched=self._dispatched,
-                completed=self._completed,
-                stale_retries=self._stale_retries,
-                respawns=self._respawns,
-                inflight=len(self._jobs),
-                deadline_abandons=self._deadline_abandons,
-                respawns_suppressed=self._respawns_suppressed,
-                batches=self._batches,
-                batched_members=self._batched_members,
-            )
+            alive = sum(1 for p in self._processes if p.is_alive())
+            inflight = len(self._jobs)
+        count = self._events.value
+        batches = self._batch_sizes.snapshot()
+        return WorkerPoolStats(
+            workers=self.workers,
+            alive=alive,
+            dispatched=int(count(event="dispatch")),
+            completed=int(count(event="complete")),
+            stale_retries=int(count(event="stale")),
+            respawns=int(count(event="respawn")),
+            inflight=inflight,
+            deadline_abandons=int(count(event="deadline_abandon")),
+            respawns_suppressed=int(count(event="respawn_suppressed")),
+            batches=batches["count"],
+            batched_members=int(batches["sum"]),
+        )

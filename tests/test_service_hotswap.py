@@ -378,7 +378,7 @@ class TestRegistryPoller:
             while time.monotonic() < deadline and engine.graph.version != 3:
                 time.sleep(0.02)
             assert engine.graph.version == 3
-            assert poller.swapped == 1
+            assert engine.stats().swaps == 1
         finally:
             poller.stop()
             engine.close()

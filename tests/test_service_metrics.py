@@ -1,7 +1,10 @@
 """Tests for the metrics layer: primitives, exposition, engine wiring,
-and the scrape-while-loaded acceptance path."""
+the scrape-while-loaded acceptance path, and ``/v1/stats`` reading the
+same series ``/v1/metrics`` renders."""
 
+import json
 import math
+import re
 import threading
 import time
 import urllib.error
@@ -10,6 +13,9 @@ import urllib.request
 import pytest
 
 from repro.datasets.figure1 import figure1_graph
+from repro.disk import SnapshotRegistry
+from repro.errors import DeadlineExceededError, EngineSaturatedError
+from repro.service import faults
 from repro.service.engine import EngineConfig, NCEngine
 from repro.service.metrics import (
     CONTENT_TYPE,
@@ -17,6 +23,10 @@ from repro.service.metrics import (
     ServiceMetrics,
     validate_exposition,
 )
+from repro.service.server import create_server
+from repro.service.workers import ProcessWorkerPool
+
+QUERY = ["Angela_Merkel", "Barack_Obama"]
 
 
 class TestCounter:
@@ -248,8 +258,6 @@ class TestScrapeUnderTraffic:
     def test_metrics_endpoint_valid_under_concurrent_load(self):
         """The acceptance bar: /v1/metrics stays well-formed while the
         server is actively serving search traffic."""
-        from repro.service.server import create_server
-
         graph = figure1_graph()
         engine = NCEngine(
             graph,
@@ -300,8 +308,6 @@ class TestScrapeUnderTraffic:
         assert not errors
 
     def test_http_metrics_label_routes(self):
-        from repro.service.server import create_server
-
         graph = figure1_graph()
         engine = NCEngine(
             graph,
@@ -337,3 +343,197 @@ class TestScrapeUnderTraffic:
             server.shutdown()
             server.server_close()
             engine.close()
+
+
+#: Every key of a process-executor ``/v1/stats`` body, nested keys dotted.
+STATS_KEYS = frozenset({
+    "requests", "cache_hits", "coalesced", "computed", "swaps",
+    "pinned_version", "drained_versions", "draining_versions", "inflight",
+    "max_workers", "executor", "timeouts", "retries", "shed", "fallbacks",
+    "cache.hits", "cache.misses", "cache.evictions", "cache.purged",
+    "cache.size", "cache.maxsize", "cache.hit_rate",
+    "workers.workers", "workers.alive", "workers.dispatched",
+    "workers.completed", "workers.stale_retries", "workers.respawns",
+    "workers.inflight", "workers.deadline_abandons",
+    "workers.respawns_suppressed", "workers.batches", "workers.batched_members",
+    "breaker.state", "breaker.consecutive_failures", "breaker.trips",
+    "breaker.reason",
+})
+
+#: Every family a process-executor engine's ``/v1/metrics`` renders.
+FAMILIES = frozenset({
+    "nc_http_requests_total", "nc_http_request_latency_seconds",
+    "nc_engine_requests_total", "nc_cache_events_total",
+    "nc_engine_coalesced_total", "nc_engine_computed_total",
+    "nc_compute_latency_seconds", "nc_engine_timeouts_total",
+    "nc_engine_shed_total", "nc_engine_fallbacks_total",
+    "nc_engine_backend_retries_total", "nc_engine_swaps_total",
+    "nc_engine_drained_versions_total", "nc_worker_events_total",
+    "nc_worker_batch_size", "nc_ingest_batches_total",
+    "nc_ingest_triples_total", "nc_ingest_lag_seconds", "nc_delta_depth",
+    "nc_engine_inflight", "nc_engine_pinned_version", "nc_breaker_state",
+    "nc_engine_uptime_seconds", "nc_cache_entries",
+})
+
+#: ``/v1/stats`` field -> the ``/v1/metrics`` sample it must equal.
+STATS_SERIES = {
+    "requests": ("nc_engine_requests_total", {"executor": "process"}),
+    "cache_hits": ("nc_cache_events_total", {"event": "hit"}),
+    "coalesced": ("nc_engine_coalesced_total", {}),
+    "computed": ("nc_engine_computed_total", {"backend": "process"}),
+    "swaps": ("nc_engine_swaps_total", {}),
+    "timeouts": ("nc_engine_timeouts_total", {}),
+    "retries": ("nc_engine_backend_retries_total", {}),
+    "shed": ("nc_engine_shed_total", {}),
+    "fallbacks": ("nc_engine_fallbacks_total", {}),
+    "pinned_version": ("nc_engine_pinned_version", {}),
+    "inflight": ("nc_engine_inflight", {}),
+    "cache.hits": ("nc_cache_events_total", {"event": "hit"}),
+    "cache.misses": ("nc_cache_events_total", {"event": "miss"}),
+    "cache.evictions": ("nc_cache_events_total", {"event": "eviction"}),
+    "cache.purged": ("nc_cache_events_total", {"event": "purged"}),
+    "cache.size": ("nc_cache_entries", {}),
+    "workers.dispatched": ("nc_worker_events_total", {"event": "dispatch"}),
+    "workers.completed": ("nc_worker_events_total", {"event": "complete"}),
+    "workers.stale_retries": ("nc_worker_events_total", {"event": "stale"}),
+    "workers.respawns": ("nc_worker_events_total", {"event": "respawn"}),
+    "workers.deadline_abandons": (
+        "nc_worker_events_total", {"event": "deadline_abandon"}
+    ),
+    "workers.respawns_suppressed": (
+        "nc_worker_events_total", {"event": "respawn_suppressed"}
+    ),
+    "workers.batches": ("nc_worker_batch_size_count", {}),
+    "workers.batched_members": ("nc_worker_batch_size_sum", {}),
+}
+
+#: Numeric ``/v1/stats`` fields that are configuration or live state with
+#: no registry series.
+STATE_FIELDS = frozenset({
+    "max_workers", "cache.maxsize", "cache.hit_rate", "workers.workers",
+    "workers.alive", "workers.inflight", "breaker.consecutive_failures",
+    "breaker.trips",
+})
+
+_SAMPLE = re.compile(r"^(\w+)(?:\{([^}]*)\})? (\S+)$")
+
+
+def _flatten(body: dict, prefix: str = "") -> dict:
+    """``body`` with nested objects' keys dotted (``cache.hits``)."""
+    fields = {}
+    for key, value in body.items():
+        if isinstance(value, dict):
+            fields.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            fields[prefix + key] = value
+    return fields
+
+
+def _samples(text: str) -> dict:
+    """``(name, frozenset(label pairs)) -> value`` for every sample line."""
+    samples = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            name, labels, value = _SAMPLE.match(line).groups()
+            pairs = frozenset(re.findall(r'(\w+)="([^"]*)"', labels or ""))
+            samples[name, pairs] = float(value)
+    return samples
+
+
+class TestOneTelemetrySource:
+    """``/v1/stats`` reads the series ``/v1/metrics`` renders."""
+
+    def test_stats_equal_their_series_after_a_scripted_mix(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
+        registry = SnapshotRegistry(tmp_path / "serving")
+        registry.publish_graph(figure1_graph())
+        registry.publish_graph(figure1_graph())
+        engine = NCEngine(
+            registry.open_view(1),
+            config=EngineConfig(
+                context_size=3,
+                max_workers=1,
+                executor="process",
+                seed=5,
+                cache_size=2,
+                max_pending=1,
+                retries=1,
+                retry_backoff=0.01,
+            ),
+        )
+        server = create_server(engine, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        try:
+            # Fault specs are read at spawn, and each spawned worker fires
+            # its rule on its first batches only. No worker is killed: a
+            # SIGKILL can land while the worker still holds the shared
+            # result queue's write lock, which wedges every later reply.
+            # Crash retries: the first worker and its respawn crash, so
+            # the retry budget runs out into the fallback; the next one
+            # crashes too, and its respawn answers the retry.
+            monkeypatch.setenv(faults.FAULTS_ENV, "worker.crash=1:0:1")
+            pool = ProcessWorkerPool(
+                1, watchdog_tick=0.05, crash_grace_s=0.2, metrics=engine.metrics
+            )
+            engine._pool = pool  # noqa: SLF001 - test harness
+            engine.search(["Francois_Hollande"])
+            # The healthy respawn stalls 1 s on each of its first two batches.
+            monkeypatch.setenv(faults.FAULTS_ENV, "worker.slow=1:1.0:2")
+            engine.search(["Brad_Pitt"])
+            monkeypatch.delenv(faults.FAULTS_ENV)
+
+            # Behind the second stall: a coalesced pair, a shed, a timeout.
+            slow, *_ = engine.submit(QUERY, timeout=0.5)
+            joined, _, coalesced, _ = engine.submit(QUERY)
+            assert joined is slow and coalesced
+            with pytest.raises(EngineSaturatedError):
+                engine.submit(["Vladimir_Putin"])
+            with pytest.raises(DeadlineExceededError):
+                slow.result(timeout=10.0)
+
+            # Three misses into a full two-entry cache, then one hit.
+            for query in (QUERY, ["Vladimir_Putin"], ["Matteo_Renzi"]):
+                engine.search(query)
+            assert engine.request(["Matteo_Renzi"]).cached
+
+            # A swap purges the cached v1 entries; v1 drains at once.
+            assert engine.swap_snapshot(registry.open_view(2)).swapped
+            engine.search(QUERY)
+
+            with urllib.request.urlopen(base + "/v1/stats") as response:
+                fields = _flatten(json.loads(response.read()))
+            with urllib.request.urlopen(base + "/v1/metrics") as response:
+                text = response.read().decode("utf-8")
+        finally:
+            server.shutdown()
+            server.server_close()
+            engine.close()
+
+        assert set(validate_exposition(text)) == FAMILIES
+        samples = _samples(text)
+        assert set(fields) == STATS_KEYS
+        for field, (name, labels) in STATS_SERIES.items():
+            series = samples.get((name, frozenset(labels.items())), 0.0)
+            assert fields[field] == series, field
+        assert len(fields["drained_versions"]) == samples[
+            "nc_engine_drained_versions_total", frozenset()
+        ]
+        numeric = {
+            field
+            for field, value in fields.items()
+            if isinstance(value, (int, float)) and not isinstance(value, bool)
+        }
+        assert numeric == set(STATS_SERIES) | STATE_FIELDS
+        # The mix reached every event it scripts.
+        assert fields["coalesced"] == fields["shed"] == fields["timeouts"] == 1
+        assert fields["fallbacks"] == fields["swaps"] == 1
+        assert fields["drained_versions"] == [1]
+        for field in (
+            "cache_hits", "cache.misses", "cache.evictions", "cache.purged",
+            "retries", "workers.respawns", "workers.deadline_abandons",
+        ):
+            assert fields[field] >= 1, field
+

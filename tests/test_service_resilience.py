@@ -244,10 +244,15 @@ def _fast_pool(engine: NCEngine, workers: int, **kwargs) -> ProcessWorkerPool:
 
     Building it here (rather than at first dispatch) also pins *when*
     the workers spawn — i.e. which ``REPRO_FAULTS`` value they inherit.
-    ``kwargs`` pass through (e.g. the micro-batching knobs).
+    ``kwargs`` pass through (e.g. the micro-batching knobs). The pool
+    counts into the engine's metrics, as the engine's own pool does.
     """
     pool = ProcessWorkerPool(
-        workers, watchdog_tick=0.05, crash_grace_s=0.2, **kwargs
+        workers,
+        watchdog_tick=0.05,
+        crash_grace_s=0.2,
+        metrics=engine.metrics,
+        **kwargs,
     )
     engine._pool = pool  # noqa: SLF001 - test harness
     return pool

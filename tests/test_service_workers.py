@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import glob
 import os
+import sys
 import threading
 import time
 
@@ -15,6 +16,7 @@ from repro.errors import DeadlineExceededError
 from repro.parallel.shm import StaleSnapshotError
 from repro.service import faults
 from repro.service.engine import EngineConfig, NCEngine
+from repro.service.metrics import ServiceMetrics
 from repro.service.workers import (
     ProcessWorkerPool,
     RemoteQueryError,
@@ -490,6 +492,24 @@ class TestOneDispatchPath:
             stats = pool.stats()
         assert stats.batches == stats.batched_members == runs
         assert stats.completed == runs
+
+    def test_completion_is_counted_before_run_returns(self, frozen):
+        """The ``complete`` series already counts a run that has returned,
+        so ``/v1/stats`` and ``/v1/metrics`` read right after it agree."""
+        header = frozen(figure1_graph())
+        metrics = ServiceMetrics()
+        # Frequent thread switches let a woken caller run before the
+        # collector's next statement, which is where a late count shows.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ProcessWorkerPool(1, metrics=metrics) as pool:
+                for returned in range(1, 51):
+                    _run(pool, header)
+                    assert metrics.worker_events.value(event="complete") == returned
+                    assert pool.stats().completed == returned
+        finally:
+            sys.setswitchinterval(switch_interval)
 
     @pytest.mark.parametrize("max_batch", [1, 4])
     def test_unpicklable_task_fails_alone_at_any_batch_width(self, max_batch, frozen):

@@ -1,9 +1,9 @@
 """Micro-benchmarks of the substrate kernels.
 
 Not paper artifacts — these measure the operations everything else is
-built from, so performance regressions in the store, the walker, PageRank
-or the multinomial test show up here first (multi-round, statistically
-timed, unlike the single-shot experiment benches).
+built from, so performance regressions in the walker, PageRank or the
+multinomial test show up here first (multi-round, statistically timed,
+unlike the single-shot experiment benches).
 """
 
 import numpy as np
@@ -12,9 +12,6 @@ import pytest
 from repro.core.distributions import build_all_distributions, build_distributions
 from repro.datasets.loader import load_dataset
 from repro.stats.multinomial import exact_multinomial_test, montecarlo_multinomial_test
-from repro.store.terms import IRI
-from repro.store.triples import Triple
-from repro.store.triplestore import TripleStore
 from repro.walk.pagerank import PersonalizedPageRank
 from repro.walk.walker import RandomWalker
 
@@ -22,44 +19,6 @@ from repro.walk.walker import RandomWalker
 @pytest.fixture(scope="module")
 def graph():
     return load_dataset("yago", scale=1.0)
-
-
-@pytest.fixture(scope="module")
-def loaded_store():
-    store = TripleStore()
-    for i in range(5_000):
-        store.add(Triple.of(f"s{i % 500}", f"p{i % 20}", f"o{i % 800}"))
-    return store
-
-
-class TestStoreKernels:
-    def test_bulk_insert_speed(self, benchmark):
-        triples = [
-            Triple.of(f"s{i % 500}", f"p{i % 20}", f"o{i % 800}")
-            for i in range(2_000)
-        ]
-
-        def insert():
-            TripleStore(triples)
-
-        benchmark(insert)
-
-    def test_predicate_scan_speed(self, benchmark, loaded_store):
-        predicate = IRI("p3")
-
-        def scan():
-            return sum(1 for _ in loaded_store.match(predicate=predicate))
-
-        count = benchmark(scan)
-        assert count > 0
-
-    def test_point_lookup_speed(self, benchmark, loaded_store):
-        triple = Triple.of("s1", "p1", "o1")
-
-        def lookup():
-            return triple in loaded_store
-
-        benchmark(lookup)
 
 
 class TestWalkKernels:

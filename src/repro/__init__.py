@@ -20,14 +20,15 @@ Package map:
 
 * :mod:`repro.core` — context selection + FindNC (the contribution)
 * :mod:`repro.graph` — knowledge-graph model (Definition 1)
-* :mod:`repro.store` — triple-store substrate
+* :mod:`repro.store` — RDF terms and the N-Triples / TSV parsers
 * :mod:`repro.walk` — random walks / PPR / metapath mining
 * :mod:`repro.stats` — multinomial test and divergences
 * :mod:`repro.datasets` — synthetic YAGO & LinkedMDB + ground truth
 * :mod:`repro.eval` — metrics and the per-figure experiment harness
 * :mod:`repro.service` — concurrent query engine + cache + HTTP API
   (``repro serve``)
-* :mod:`repro.disk` — snapshot store, bulk ingest, and the versioned
+* :mod:`repro.disk` — the snapshot format (writer, mmap reader, graph
+  view, ``freeze_graph``), bulk ingest, and the versioned
   :class:`~repro.disk.registry.SnapshotRegistry` behind multi-version
   hot-swap serving (``repro publish`` / ``POST /admin/reload``)
 """
@@ -51,7 +52,7 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.model import KnowledgeGraph
 from repro.service.engine import NCEngine, SearchOutcome, SwapOutcome
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "CharacteristicDistributions",

@@ -1,19 +1,25 @@
-"""Persistence substrate: the memory-mapped snapshot store + bulk ingest.
+"""Persistence substrate: the ``RPROSNAP`` snapshot format + bulk ingest.
 
-The one transport for compiled graph snapshots: this package puts the
+The one data path for compiled graph snapshots: this package puts the
 columnar :class:`~repro.graph.compiled.CompiledGraph` block layout in a
 **single immutable file**, so serving cold-starts by mapping pages
-instead of parsing dumps, and every worker process maps the same file:
+instead of parsing dumps, and every worker process maps the same file.
+:mod:`repro.disk.store` owns the whole format — preamble, header, block
+layout, writer, mmap reader, graph view and freeze:
 
 * :func:`save_snapshot` / :func:`save_graph_snapshot` — write one graph
   version (eight snapshot arrays + name tables + optionally the frozen
   PPR transition CSR) with a versioned binary header;
 * :func:`open_snapshot` / :func:`open_snapshot_view` — zero-copy
   :class:`numpy.memmap` reconstruction, wrapped in the
-  :class:`~repro.parallel.shm.SnapshotGraphView` reader surface so the
-  unchanged FindNC pipeline (and :class:`~repro.service.engine.NCEngine`,
-  both executor backends) serves straight off disk with **no**
+  :class:`SnapshotGraphView` reader surface so the unchanged FindNC
+  pipeline (and :class:`~repro.service.engine.NCEngine`, both executor
+  backends) serves straight off disk with **no**
   :class:`~repro.graph.model.KnowledgeGraph` in the process;
+* :func:`freeze_graph` — a live graph's current version written to a
+  tmpfs snapshot file and opened as a view that owns (and on close
+  unlinks) the file; a new open of an unlinked file raises
+  :class:`StaleSnapshotError`;
 * :func:`ingest_file` / :func:`ingest_triples` — the streaming bulk
   ingester behind ``repro compile``: N-Triples/TSV dumps compile
   directly into CSR arrays through two counting passes, never
@@ -66,6 +72,9 @@ from repro.disk.store import (
     DiskSnapshot,
     DiskSnapshotHeader,
     SnapshotFormatError,
+    SnapshotGraphView,
+    StaleSnapshotError,
+    freeze_graph,
     inspect_snapshot,
     open_snapshot,
     open_snapshot_view,
@@ -84,7 +93,9 @@ __all__ = [
     "RegistryEntry",
     "RegistryError",
     "SnapshotFormatError",
+    "SnapshotGraphView",
     "SnapshotRegistry",
+    "StaleSnapshotError",
     "canonicalize_ops",
     "inspect_delta_run",
     "inspect_snapshot",
@@ -95,6 +106,7 @@ __all__ = [
     "StreamingCompiler",
     "compile_triples",
     "detect_format",
+    "freeze_graph",
     "ingest_file",
     "ingest_triples",
     "open_snapshot",

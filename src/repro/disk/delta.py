@@ -13,7 +13,7 @@ snapshot version::
 The data region mirrors the ``.snap`` idiom (:mod:`repro.disk.store`):
 8-byte-aligned blocks described by the header — a run-local node/label
 name table (UTF-8 offset/blob pairs, the encoding
-:mod:`repro.parallel.shm` uses) plus six ``int64`` id columns, the
+:mod:`repro.disk.store` uses) plus six ``int64`` id columns, the
 add statements and the remove statements as ``(subject, label, object)``
 rows over the run-local vocabulary. Runs are self-contained: they never
 reference base ids, so a run outlives re-interning decisions and can be
@@ -59,7 +59,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.graph.labels import inverse_label, is_inverse_label
-from repro.parallel.shm import SharedNameTable, _aligned, _encode_names
+from repro.disk.store import SharedNameTable, _aligned, _encode_names
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from collections.abc import Iterable, Sequence

@@ -21,10 +21,13 @@ into the eight :data:`~repro.graph.compiled.ARRAY_FIELDS` arrays:
   :func:`compile_graph` does per-node in Python, done once over flat
   arrays.
 
-The output is **byte-identical** to ``graph_from_store(...)`` followed
-by ``graph.compiled()`` on every array (``tests/test_disk_ingest.py``
-pins this), which is what lets :func:`repro.datasets.loader.to_snapshot`
-and ``repro compile`` feed the same serving stack as a live graph.
+The output is **byte-identical** to
+:func:`~repro.graph.builder.graph_from_triples` over the same stream
+followed by ``graph.compiled()`` on every array — for a dump file, to
+:func:`~repro.graph.io.load_graph` (``tests/test_disk_ingest.py`` and
+``tests/test_graph_io.py`` pin this) — which is what lets
+:func:`repro.datasets.loader.to_snapshot` and ``repro compile`` feed the
+same serving stack as a live graph.
 """
 
 from __future__ import annotations
@@ -35,17 +38,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.disk.store import save_snapshot
+from repro.disk.store import _take, save_snapshot
 from repro.graph.compiled import CompiledGraph
 from repro.graph.labels import LabelTable, inverse_label
-from repro.parallel.shm import _take
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     import os
     from collections.abc import Iterable, Sequence
 
 #: str(subject), str(label), str(object) — the shape the parsers yield
-#: after term stringification (identical to graph_from_store's input).
+#: after term stringification (identical to load_graph's input).
 TripleNames = "tuple[str, str, str]"
 
 
@@ -598,8 +600,8 @@ def ingest_file(
     """Stream an N-Triples or YAGO-TSV dump into a snapshot file.
 
     The whole ``repro compile`` path: parse each line, stringify terms
-    exactly as :func:`~repro.graph.builder.graph_from_store` does, feed
-    the :class:`StreamingCompiler` — never building the dict graph.
+    exactly as :func:`~repro.graph.io.load_graph` does, feed the
+    :class:`StreamingCompiler` — never building the dict graph.
     ``fmt`` is ``"nt"``, ``"tsv"``, or ``"auto"`` (by extension).
     ``version`` is stamped into the snapshot header — the registry
     (:mod:`repro.disk.registry`) passes its monotonic id here so hot

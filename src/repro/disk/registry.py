@@ -44,7 +44,7 @@ still draining, say — plus every chain base a surviving row still
 references, and the runs of every retained base) and unlinks the rest. POSIX semantics make this
 safe under load: a process with the old file mapped keeps reading it
 after the unlink; only *new* opens fail, which the worker pool already
-surfaces as a retriable :class:`~repro.parallel.shm.StaleSnapshotError`.
+surfaces as a retriable :class:`~repro.disk.store.StaleSnapshotError`.
 
 The serving integration — ``repro serve --snapshot-dir``, the
 ``POST /admin/reload`` endpoint and the manifest-mtime poller — lives in
@@ -70,6 +70,7 @@ from repro.errors import ReproError
 from repro.disk.store import (
     MAGIC,
     DiskSnapshot,
+    SnapshotGraphView,
     open_snapshot,
     open_snapshot_view,
     save_snapshot,
@@ -81,7 +82,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 
     from repro.disk.delta import DeltaLog, DeltaRun
     from repro.graph.model import KnowledgeGraph
-    from repro.parallel.shm import SnapshotGraphView
 
 #: The manifest's own format version; bump on incompatible layout changes.
 MANIFEST_FORMAT = 1
@@ -307,7 +307,7 @@ class SnapshotRegistry:
         return highest + 1
 
     def open_view(self, version: "int | None" = None) -> "SnapshotGraphView":
-        """An mmapped :class:`~repro.parallel.shm.SnapshotGraphView` of
+        """An mmapped :class:`~repro.disk.store.SnapshotGraphView` of
         ``version`` (default: the latest) — the object the engine serves
         or swaps onto."""
         entry = self.latest() if version is None else self.entry_for(version)

@@ -13,7 +13,7 @@ class ReproError(Exception):
 
 
 class StoreError(ReproError):
-    """Base class for triple-store errors."""
+    """Base class for term and dump-parsing errors (:mod:`repro.store`)."""
 
 
 class ParseError(StoreError):

@@ -1,4 +1,4 @@
-"""Fluent construction of knowledge graphs, and store <-> graph bridges."""
+"""Fluent construction of knowledge graphs."""
 
 from __future__ import annotations
 
@@ -6,9 +6,6 @@ from collections.abc import Iterable
 
 from repro.graph.labels import SUBCLASS_OF_LABEL, TYPE_LABEL
 from repro.graph.model import KnowledgeGraph
-from repro.store.terms import IRI, Literal
-from repro.store.triples import Triple
-from repro.store.triplestore import TripleStore
 
 
 class GraphBuilder:
@@ -71,54 +68,3 @@ def graph_from_triples(
     builder = GraphBuilder(name, add_inverse=add_inverse)
     builder.facts(triples)
     return builder.build()
-
-
-def graph_from_store(
-    store: TripleStore, *, name: str = "knowledge-graph", add_inverse: bool = True
-) -> KnowledgeGraph:
-    """Materialize a :class:`KnowledgeGraph` from a triple store.
-
-    IRIs and literals both become named nodes (Definition 1 treats attribute
-    values as nodes); the predicate's string form becomes the edge label.
-    """
-    graph = KnowledgeGraph(name)
-    for triple in store:
-        graph.add_edge(
-            str(triple.subject),
-            str(triple.predicate),
-            str(triple.object),
-            add_inverse=add_inverse,
-        )
-    return graph
-
-
-def store_from_graph(
-    graph: KnowledgeGraph, *, include_inverse: bool = False
-) -> TripleStore:
-    """Serialize a graph back into a triple store.
-
-    Reverse edges are redundant under the closure assumption and skipped by
-    default; pass ``include_inverse=True`` to keep them.
-    """
-    from repro.graph.labels import is_inverse_label
-
-    store = TripleStore()
-    for edge in graph.edges():
-        if not include_inverse and is_inverse_label(edge.label):
-            continue
-        store.add(
-            Triple(
-                IRI(graph.node_name(edge.source)),
-                IRI(edge.label),
-                _object_term(graph.node_name(edge.target)),
-            )
-        )
-    return store
-
-
-def _object_term(name: str) -> "IRI | Literal":
-    """Heuristic: values that are not valid IRIs become literals."""
-    try:
-        return IRI(name)
-    except Exception:
-        return Literal(name)

@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (model imports us laz
 
 #: The snapshot's flat array fields in canonical order, with their dtypes.
 #: This is the serialization contract of the snapshot layer: the
-#: snapshot file layout (:func:`repro.parallel.shm.snapshot_blocks`) lays
+#: snapshot file layout (:func:`repro.disk.store.snapshot_blocks`) lays
 #: the arrays out in exactly this order, and :meth:`CompiledGraph.from_arrays`
 #: reconstructs a snapshot from any buffers that honour it.
 ARRAY_FIELDS: "tuple[tuple[str, np.dtype], ...]" = (

@@ -60,8 +60,7 @@ class LabelTable:
     """Interns label strings to dense integer ids (and back).
 
     Adjacency structures key on label ids so that long label strings are
-    stored once. Mirrors :class:`repro.store.dictionary.TermDictionary` but
-    for plain strings.
+    stored once. Ids are dense and allocated in first-intern order.
     """
 
     __slots__ = ("_label_to_id", "_id_to_label")

@@ -7,7 +7,7 @@ version-keyed LRU, and coalescing identical in-flight queries. Two
 execution backends share that front: ``executor="thread"`` computes on
 the engine's thread pool; ``executor="process"`` dispatches to a
 :class:`~repro.service.workers.ProcessWorkerPool` over the mmapped
-snapshot file (:mod:`repro.parallel`), scaling distinct-query throughput with
+snapshot file (:mod:`repro.disk.store`), scaling distinct-query throughput with
 cores. The stdlib HTTP server (:mod:`repro.service.server`) exposes it
 as a JSON API (``repro serve``). Snapshot-backed engines additionally hot-swap
 between registry versions while serving

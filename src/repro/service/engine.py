@@ -7,7 +7,7 @@ The engine turns the library pipeline into a servable primitive:
   :class:`~repro.disk.registry.SnapshotRegistry` view, or — when handed a
   :class:`KnowledgeGraph` — a tmpfs snapshot file of the graph's current
   version that the engine freezes once, at construction
-  (:func:`~repro.parallel.shm.freeze_graph`), and unlinks when it closes.
+  (:func:`~repro.disk.store.freeze_graph`), and unlinks when it closes.
   Later mutations of that graph never reach the engine.
 * **Snapshot pinning.** Every request pins the served version's compiled
   snapshot together with a frozen PageRank selector (the stored
@@ -74,8 +74,7 @@ from repro.errors import DeadlineExceededError, EngineSaturatedError, QueryError
 from repro.graph.compiled import CompiledGraph
 from repro.graph.model import KnowledgeGraph, NodeRef
 from repro.graph.search import EntityIndex, resolve_node_refs
-from repro.disk.store import DiskSnapshotHeader
-from repro.parallel.shm import StaleSnapshotError, freeze_graph
+from repro.disk.store import DiskSnapshotHeader, StaleSnapshotError, freeze_graph
 from repro.service import faults
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.metrics import ServiceMetrics
@@ -567,7 +566,7 @@ class NCEngine:
     ``graph`` is a frozen snapshot view (``repro.disk.open_snapshot_view``,
     ``SnapshotRegistry.open_view``) or a :class:`KnowledgeGraph`, which
     the engine freezes once, here, into a tmpfs snapshot view it owns
-    (:func:`~repro.parallel.shm.freeze_graph`) and closes with the
+    (:func:`~repro.disk.store.freeze_graph`) and closes with the
     engine. Later mutations of that graph do not reach the engine; serve
     a newer version with :meth:`swap_snapshot`.
 

@@ -94,7 +94,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import DeadlineExceededError, EngineSaturatedError, ReproError
 from repro.graph.model import KnowledgeGraph
-from repro.parallel.shm import StaleSnapshotError
+from repro.disk.store import StaleSnapshotError
 from repro.service import metrics as metrics_mod
 from repro.service.engine import NCEngine, SearchOutcome
 from repro.service.tracing import (

@@ -75,8 +75,12 @@ from repro.core.discrimination import MultinomialDiscriminator
 from repro.core.distributions import sweep_counts_many
 from repro.core.findnc import FindNC, FindNCResult
 from repro.errors import DeadlineExceededError
-from repro.disk.store import DiskSnapshotHeader, open_snapshot
-from repro.parallel.shm import SnapshotGraphView, StaleSnapshotError
+from repro.disk.store import (
+    DiskSnapshotHeader,
+    SnapshotGraphView,
+    StaleSnapshotError,
+    open_snapshot,
+)
 from repro.service import faults
 from repro.service.metrics import ServiceMetrics
 from repro.service.tracing import WorkerSpanRecorder
@@ -86,7 +90,7 @@ def _attach_header(header: DiskSnapshotHeader):
     """Open the snapshot file ``header`` names.
 
     A file that is gone (its frozen copy was retired) raises the
-    retriable :class:`~repro.parallel.shm.StaleSnapshotError`.
+    retriable :class:`~repro.disk.store.StaleSnapshotError`.
     """
     try:
         return open_snapshot(header.path)

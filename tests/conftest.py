@@ -7,7 +7,7 @@ import pytest
 from repro.datasets.figure1 import figure1_graph
 from repro.datasets.loader import load_dataset
 from repro.graph.builder import GraphBuilder
-from repro.parallel.shm import freeze_graph
+from repro.disk import freeze_graph
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -97,7 +97,7 @@ def frozen():
     """Freeze graphs for process workers: ``frozen(graph)`` -> header.
 
     Each call writes ``graph`` to a tmpfs snapshot file
-    (:func:`~repro.parallel.shm.freeze_graph`) and returns the
+    (:func:`~repro.disk.freeze_graph`) and returns the
     :class:`~repro.disk.DiskSnapshotHeader` workers open it by. Every
     frozen view is closed at teardown, which unlinks its file.
     """

@@ -33,7 +33,7 @@ from repro.core.context import RandomWalkContext
 from repro.core.discrimination import MultinomialDiscriminator
 from repro.core.findnc import FindNC
 from repro.datasets.figure1 import figure1_graph
-from repro.parallel.shm import StaleSnapshotError
+from repro.disk import StaleSnapshotError
 from repro.service import faults
 from repro.service.tracing import WorkerSpanRecorder
 from repro.service.workers import (

@@ -1,14 +1,6 @@
-"""Unit tests for GraphBuilder and the store <-> graph bridges."""
+"""Unit tests for GraphBuilder and graph_from_triples."""
 
-from repro.graph.builder import (
-    GraphBuilder,
-    graph_from_store,
-    graph_from_triples,
-    store_from_graph,
-)
-from repro.store.terms import IRI, Literal
-from repro.store.triples import Triple
-from repro.store.triplestore import TripleStore
+from repro.graph.builder import GraphBuilder, graph_from_triples
 
 
 class TestGraphBuilder:
@@ -41,43 +33,3 @@ class TestGraphBuilder:
         assert graph.name == "from-triples"
         assert graph.has_edge("s", "p", "o")
 
-
-class TestStoreBridges:
-    def test_graph_from_store(self):
-        store = TripleStore(
-            [
-                Triple.of("merkel", "leaderOf", "germany"),
-                Triple(IRI("merkel"), IRI("born"), Literal("1954")),
-            ]
-        )
-        graph = graph_from_store(store)
-        assert graph.has_edge("merkel", "leaderOf", "germany")
-        assert graph.has_edge("merkel", "born", "1954")  # literal became node
-        assert graph.has_edge("germany", "leaderOf_inv", "merkel")
-
-    def test_store_from_graph_skips_inverses(self):
-        graph = GraphBuilder().fact("a", "r", "b").build()
-        store = store_from_graph(graph)
-        assert len(store) == 1
-        assert Triple.of("a", "r", "b") in store
-
-    def test_store_from_graph_keeps_inverses_on_request(self):
-        graph = GraphBuilder().fact("a", "r", "b").build()
-        store = store_from_graph(graph, include_inverse=True)
-        assert len(store) == 2
-
-    def test_round_trip_preserves_facts(self):
-        original = (
-            GraphBuilder()
-            .fact("merkel", "leaderOf", "germany")
-            .fact("obama", "leaderOf", "usa")
-            .typed("merkel", "politician")
-            .build()
-        )
-        rebuilt = graph_from_store(store_from_graph(original))
-        for edge in original.edges():
-            assert rebuilt.has_edge(
-                original.node_name(edge.source),
-                edge.label,
-                original.node_name(edge.target),
-            )

@@ -1,4 +1,4 @@
-"""Tests for the frozen-snapshot layer (`repro.parallel.shm`)."""
+"""Tests for the snapshot layout, the graph view and `freeze_graph` (`repro.disk.store`)."""
 
 from __future__ import annotations
 
@@ -14,20 +14,17 @@ import pytest
 from repro.disk import (
     DiskSnapshotHeader,
     SnapshotRegistry,
+    StaleSnapshotError,
+    freeze_graph,
     open_snapshot,
     open_snapshot_view,
     save_graph_snapshot,
     save_snapshot,
+    store,
 )
+from repro.disk.store import SharedNameTable, snapshot_blocks
 from repro.errors import NodeNotFoundError
 from repro.graph.compiled import ARRAY_FIELDS, CompiledGraph
-from repro.parallel import shm
-from repro.parallel.shm import (
-    SharedNameTable,
-    StaleSnapshotError,
-    freeze_graph,
-    snapshot_blocks,
-)
 from repro.service.workers import _attach_header
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -317,25 +314,27 @@ class TestSharedTransition:
 
 
 #: Freeze, keep an array and a name, close, then read what was kept. The
-#: frozen file is found by globbing /dev/shm, so the probe runs unchanged
-#: against any build that freezes there.
+#: frozen file is found by globbing /dev/shm for the probe's own pid, so
+#: a concurrent test run on the same host cannot disturb the listing.
 KEPT_ARRAY_PROBE = """
 import glob
+import os
 
 import numpy as np
 
 from repro.datasets.figure1 import figure1_graph
-from repro.parallel.shm import freeze_graph
+from repro.disk import freeze_graph
 
-before = set(glob.glob("/dev/shm/repro-snap-*"))
+MINE = f"/dev/shm/repro-snap-v*-{os.getpid()}-*.snap"
+before = set(glob.glob(MINE))
 view = freeze_graph(figure1_graph())
-created = set(glob.glob("/dev/shm/repro-snap-*")) - before
+created = set(glob.glob(MINE)) - before
 assert len(created) == 1, created
 targets = view.compiled().targets
 name = view.node_name(3)
 expected = targets.copy()
 view.close()
-assert not created & set(glob.glob("/dev/shm/repro-snap-*")), "file left behind"
+assert not created & set(glob.glob(MINE)), "file left behind"
 assert np.array_equal(targets, expected)
 assert name == figure1_graph().node_name(3)
 print(int(targets.sum()))
@@ -391,7 +390,7 @@ class TestFreezeGraph:
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
         probe = (
             "from repro.datasets.figure1 import figure1_graph\n"
-            "from repro.parallel.shm import freeze_graph\n"
+            "from repro.disk import freeze_graph\n"
             "view = freeze_graph(figure1_graph())\n"
             "print(view._attached.header.path)\n"
         )
@@ -416,7 +415,7 @@ class TestFreezeGraph:
         probe = (
             "import time\n"
             "from repro.datasets.figure1 import figure1_graph\n"
-            "from repro.parallel.shm import freeze_graph\n"
+            "from repro.disk import freeze_graph\n"
             "view = freeze_graph(figure1_graph())\n"
             "print(view._attached.header.path, flush=True)\n"
             "time.sleep(120)\n"
@@ -445,7 +444,7 @@ class TestFreezeGraph:
             own.close()
 
     def test_falls_back_to_the_temp_directory(self, fig1_graph, tmp_path, monkeypatch):
-        monkeypatch.setattr(shm, "_FREEZE_DIR", str(tmp_path / "no-such-tmpfs"))
+        monkeypatch.setattr(store, "_FREEZE_DIR", str(tmp_path / "no-such-tmpfs"))
         monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
         view = freeze_graph(fig1_graph)
         path = view._attached.header.path

@@ -1,7 +1,7 @@
-"""Property-based tests (hypothesis) for the triple store.
+"""Property-based tests (hypothesis) for the N-Triples writer and parser.
 
-Invariants: the three indexes always agree, count() == len(match()), and
-add/remove round-trips restore the previous state.
+Invariant: serializing distinct sorted triples and parsing the text back
+yields the same triples in the same order.
 """
 
 from hypothesis import given, settings
@@ -9,64 +9,12 @@ from hypothesis import strategies as st
 
 from repro.store.terms import IRI
 from repro.store.triples import Triple
-from repro.store.triplestore import TripleStore
 
-# small vocabularies force collisions, which is where index bugs live
+# small vocabularies force collisions
 subjects = st.sampled_from([IRI(f"s{i}") for i in range(5)])
 predicates = st.sampled_from([IRI(f"p{i}") for i in range(3)])
 objects = st.sampled_from([IRI(f"o{i}") for i in range(5)])
 triples = st.builds(Triple, subjects, predicates, objects)
-
-
-@given(st.lists(triples, max_size=40))
-@settings(max_examples=60, deadline=None)
-def test_store_size_equals_distinct_triples(batch):
-    store = TripleStore()
-    store.add_all(batch)
-    assert len(store) == len(set(batch))
-
-
-@given(st.lists(triples, max_size=40))
-@settings(max_examples=60, deadline=None)
-def test_indexes_agree_on_every_pattern(batch):
-    store = TripleStore(batch)
-    distinct = set(batch)
-    for s in {t.subject for t in distinct} | {IRI("unseen")}:
-        expected = {t for t in distinct if t.subject == s}
-        assert set(store.match(subject=s)) == expected
-        assert store.count(subject=s) == len(expected)
-    for p in {t.predicate for t in distinct}:
-        expected = {t for t in distinct if t.predicate == p}
-        assert set(store.match(predicate=p)) == expected
-        assert store.count(predicate=p) == len(expected)
-    for o in {t.object for t in distinct}:
-        expected = {t for t in distinct if t.object == o}
-        assert set(store.match(obj=o)) == expected
-        assert store.count(obj=o) == len(expected)
-
-
-@given(st.lists(triples, max_size=30), st.lists(triples, max_size=15))
-@settings(max_examples=60, deadline=None)
-def test_remove_restores_membership(batch, removals):
-    store = TripleStore(batch)
-    present = set(batch)
-    for triple in removals:
-        removed = store.remove(triple)
-        assert removed == (triple in present)
-        present.discard(triple)
-    assert set(store.match()) == present
-    assert len(store) == len(present)
-
-
-@given(st.lists(triples, min_size=1, max_size=30))
-@settings(max_examples=60, deadline=None)
-def test_full_bound_match_is_membership(batch):
-    store = TripleStore(batch)
-    for triple in batch:
-        assert triple in store
-        assert list(store.match(triple.subject, triple.predicate, triple.object)) == [
-            triple
-        ]
 
 
 @given(st.lists(triples, max_size=30))

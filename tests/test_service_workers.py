@@ -11,9 +11,8 @@ import time
 import pytest
 
 from repro.datasets.figure1 import figure1_graph
-from repro.disk import SnapshotRegistry, save_graph_snapshot
+from repro.disk import SnapshotRegistry, StaleSnapshotError, save_graph_snapshot
 from repro.errors import DeadlineExceededError
-from repro.parallel.shm import StaleSnapshotError
 from repro.service import faults
 from repro.service.engine import EngineConfig, NCEngine
 from repro.service.metrics import ServiceMetrics
@@ -28,8 +27,12 @@ QUERY = ["Angela_Merkel", "Barack_Obama"]
 
 
 def _frozen_files() -> set[str]:
-    """The frozen snapshot files currently linked in /dev/shm."""
-    return set(glob.glob("/dev/shm/repro-snap-*"))
+    """This process's frozen snapshot files currently linked in /dev/shm.
+
+    Frozen file names carry the writer's pid, so a concurrent test run on
+    the same host cannot add or remove a file from this listing.
+    """
+    return set(glob.glob(f"/dev/shm/repro-snap-v*-{os.getpid()}-*.snap"))
 
 
 def _config() -> WorkerConfig:

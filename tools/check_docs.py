@@ -15,8 +15,9 @@ given (or the default doc set):
 
 **Docstring mode** (``--docstrings``) mirrors the CI ruff D100–D104 job
 without requiring ruff: every module in the given packages (default: the
-documented ``repro.service`` / ``repro.parallel`` / ``repro.disk`` /
-``repro.core`` / ``repro.graph`` surface) must carry a module docstring,
+documented ``repro.service`` / ``repro.disk`` / ``repro.core`` /
+``repro.graph`` / ``repro.stats`` / ``repro.walk`` / ``repro.util`` /
+``repro.store`` surface) must carry a module docstring,
 and every public class, method and function a docstring.
 ``tests/test_docs.py`` runs both modes, so the docs gate holds even
 where only pytest is installed.
@@ -53,7 +54,6 @@ DEFAULT_DOC_SET = (
 #: The packages whose docstring surface CI enforces (ruff D100–D104 scope).
 DEFAULT_DOCSTRING_PACKAGES = (
     "src/repro/service",
-    "src/repro/parallel",
     "src/repro/disk",
     "src/repro/core",
     "src/repro/graph",
